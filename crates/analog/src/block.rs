@@ -16,6 +16,17 @@ pub trait AnalogBlock {
     fn name(&self) -> &str;
 }
 
+/// A cascade whose output can be taken after any prefix of its stages —
+/// the characterization view of a delay line whose depth is a design
+/// parameter (see [`crate::characterize::measure_delay_tables_cached_with`]).
+pub trait TappedCascade {
+    /// Drives `input` once through the first `depths.last()` stages and
+    /// calls `tap` once per entry of `depths`, in order, with the output a
+    /// freshly built cascade of that depth would produce from `input`.
+    /// `depths` is strictly ascending.
+    fn process_taps(&mut self, input: &Waveform, depths: &[usize], tap: &mut dyn FnMut(Waveform));
+}
+
 /// An edge-domain circuit block — the fast path for long captures.
 pub trait EdgeTransform {
     /// Transforms an input edge stream into the block's output stream.

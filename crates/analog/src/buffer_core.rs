@@ -17,7 +17,7 @@
 use crate::block::AnalogBlock;
 use vardelay_siggen::SplitMix64;
 use vardelay_units::{Frequency, Time, Voltage};
-use vardelay_waveform::{pool, OnePole, SlewLimiter, Waveform};
+use vardelay_waveform::{pool, Waveform};
 
 /// Per-sample amplitude program for the shared signal path: either a
 /// constant half-swing (the plain [`AnalogBlock::process`] path, which
@@ -29,14 +29,6 @@ enum Drive<'a> {
 }
 
 impl Drive<'_> {
-    #[inline]
-    fn at(&self, i: usize) -> f64 {
-        match self {
-            Drive::Const(half) => *half,
-            Drive::PerSample(halves) => halves[i],
-        }
-    }
-
     fn first(&self) -> f64 {
         match self {
             Drive::Const(half) => *half,
@@ -188,59 +180,114 @@ impl BufferCore {
         out
     }
 
+    /// The whole signal path in one pass over the input, writing straight
+    /// into a pooled output buffer. Per sample: add the band-limited noise,
+    /// limit (tanh, with the gain envelope when enabled), slew-limit, then
+    /// the output pole. The slew and pole states start from the first
+    /// limited sample and the RNG is drawn in sample order, so the output
+    /// must stay bit-identical to applying the four stages as separate
+    /// passes — the oracle the tests compare against.
     fn process_inner(&mut self, input: &Waveform, drive: Drive<'_>) -> Waveform {
-        let v_lin = self.config.v_lin.as_v();
-        let noise = self.config.noise_rms.as_v();
+        let out = match drive {
+            Drive::Const(half) => self.fused(input, half, |_| half),
+            Drive::PerSample(halves) => self.fused(input, drive.first(), |i| halves[i]),
+        };
+        // Fixed propagation delay.
+        Waveform::new(input.t0() + self.config.prop_delay, input.dt(), out)
+    }
 
-        let mut out = Waveform::new(input.t0(), input.dt(), pool::take_copy(input.samples()));
+    /// Monomorphizes the fused loop on whether noise and the gain envelope
+    /// are enabled, so the per-sample body carries no dead branches.
+    fn fused(
+        &mut self,
+        input: &Waveform,
+        first_half: f64,
+        half: impl Fn(usize) -> f64,
+    ) -> Vec<f64> {
+        let noisy = self.config.noise_rms > Voltage::ZERO;
+        let enveloped = self.config.envelope_tau > input.dt();
+        match (noisy, enveloped) {
+            (false, false) => self.fused_loop::<false, false>(input, first_half, half),
+            (false, true) => self.fused_loop::<false, true>(input, first_half, half),
+            (true, false) => self.fused_loop::<true, false>(input, first_half, half),
+            (true, true) => self.fused_loop::<true, true>(input, first_half, half),
+        }
+    }
+
+    /// The fused loop. `half` is the drive at each sample; `first_half`
+    /// seeds the envelope.
+    #[inline(always)]
+    fn fused_loop<const NOISY: bool, const ENVELOPE: bool>(
+        &mut self,
+        input: &Waveform,
+        first_half: f64,
+        half: impl Fn(usize) -> f64,
+    ) -> Vec<f64> {
+        let dt = input.dt();
+        let v_lin = self.config.v_lin.as_v();
+        let pole_tau = self.config.bandwidth.one_pole_tau();
+
         // Input-referred noise: white Gaussian per sample would have
         // unbounded bandwidth, so draw it band-limited by reusing the
         // output pole's time constant via an exponential-smoothing walk.
-        if noise > 0.0 {
-            let tau = self.config.bandwidth.one_pole_tau();
-            let beta = (-(input.dt() / tau)).exp();
+        let noise = self.config.noise_rms.as_v();
+        let (mut n, beta, innov) = if NOISY {
+            let beta = (-(dt / pole_tau)).exp();
             // Scale the innovation so the stationary RMS equals noise_rms.
             let innov = noise * (1.0 - beta * beta).sqrt();
-            let mut n = self.rng.gaussian() * noise;
-            for s in out.samples_mut() {
-                *s += n;
-                n = beta * n + innov * self.rng.gaussian();
-            }
-        }
+            (self.rng.gaussian() * noise, beta, innov)
+        } else {
+            (0.0, 0.0, 0.0)
+        };
         // Limiting transconductor: regenerate at the programmed swing.
         // The envelope models the gain control re-developing after every
         // switching event: the output snaps to ±floor, then grows toward
         // ±swing/2 with tau_env. With tau_env at/below the sample period
         // (fixed-gain stages) the envelope is always settled.
-        let tau_env = self.config.envelope_tau;
-        if tau_env > input.dt() {
-            let alpha = 1.0 - (-(input.dt() / tau_env)).exp();
-            let floor_half = self.config.envelope_floor.as_v() / 2.0;
-            let mut env = drive.first();
-            let mut prev_positive = out.samples().first().is_some_and(|&v| v >= 0.0);
-            for (i, s) in out.samples_mut().iter_mut().enumerate() {
-                let half = drive.at(i);
-                let u = (2.0 * *s / v_lin).tanh();
+        let env_alpha = 1.0 - (-(dt / self.config.envelope_tau)).exp();
+        let floor_half = self.config.envelope_floor.as_v() / 2.0;
+        let mut env = first_half;
+        let mut prev_positive = false;
+        // Finite slew of the output emitter followers.
+        let max_step = self.config.slew_v_per_s * dt.as_s();
+        // Output pole, exact discretization of its step response.
+        let alpha = 1.0 - (-(dt / pole_tau)).exp();
+
+        let mut out = pool::take(input.len());
+        let (mut slewed, mut pole) = (0.0, 0.0);
+        for (i, &x) in input.samples().iter().enumerate() {
+            let mut s = x;
+            if NOISY {
+                s += n;
+                n = beta * n + innov * self.rng.gaussian();
+            }
+            let u = (2.0 * s / v_lin).tanh();
+            let limited = if ENVELOPE {
+                if i == 0 {
+                    prev_positive = s >= 0.0;
+                }
+                let half = half(i);
                 let positive = u >= 0.0;
                 if positive != prev_positive {
                     env = floor_half.min(half);
                     prev_positive = positive;
                 } else {
-                    env += (half - env) * alpha;
+                    env += (half - env) * env_alpha;
                 }
-                *s = u * env;
+                u * env
+            } else {
+                half(i) * u
+            };
+            if i == 0 {
+                slewed = limited;
             }
-        } else {
-            for (i, s) in out.samples_mut().iter_mut().enumerate() {
-                *s = drive.at(i) * (2.0 * *s / v_lin).tanh();
+            slewed += (limited - slewed).clamp(-max_step, max_step);
+            if i == 0 {
+                pole = slewed;
             }
+            pole += alpha * (slewed - pole);
+            out.push(pole);
         }
-        // Finite slew of the output emitter followers.
-        SlewLimiter::new(self.config.slew_v_per_s).apply(&mut out);
-        // Output pole.
-        OnePole::with_corner(self.config.bandwidth).apply(&mut out);
-        // Fixed propagation delay.
-        out.shift(self.config.prop_delay);
         out
     }
 }
@@ -351,6 +398,127 @@ mod tests {
         let a = BufferCore::new("b", cfg.clone(), 7).process(&wf);
         let b = BufferCore::new("b", cfg, 7).process(&wf);
         assert_eq!(a, b);
+    }
+
+    /// The four-pass kernel the fused loop replaced: copy, noise plus
+    /// limiter, slew limiter, output pole. Kept as the oracle the fused
+    /// path must match bit for bit.
+    fn process_four_pass(core: &mut BufferCore, input: &Waveform, drive: Drive<'_>) -> Waveform {
+        use vardelay_waveform::{OnePole, SlewLimiter};
+
+        let at = |i: usize| match drive {
+            Drive::Const(half) => half,
+            Drive::PerSample(halves) => halves[i],
+        };
+        let v_lin = core.config.v_lin.as_v();
+        let noise = core.config.noise_rms.as_v();
+        let mut out = Waveform::new(input.t0(), input.dt(), pool::take_copy(input.samples()));
+        if noise > 0.0 {
+            let tau = core.config.bandwidth.one_pole_tau();
+            let beta = (-(input.dt() / tau)).exp();
+            let innov = noise * (1.0 - beta * beta).sqrt();
+            let mut n = core.rng.gaussian() * noise;
+            for s in out.samples_mut() {
+                *s += n;
+                n = beta * n + innov * core.rng.gaussian();
+            }
+        }
+        let tau_env = core.config.envelope_tau;
+        if tau_env > input.dt() {
+            let alpha = 1.0 - (-(input.dt() / tau_env)).exp();
+            let floor_half = core.config.envelope_floor.as_v() / 2.0;
+            let mut env = drive.first();
+            let mut prev_positive = out.samples().first().is_some_and(|&v| v >= 0.0);
+            for (i, s) in out.samples_mut().iter_mut().enumerate() {
+                let half = at(i);
+                let u = (2.0 * *s / v_lin).tanh();
+                let positive = u >= 0.0;
+                if positive != prev_positive {
+                    env = floor_half.min(half);
+                    prev_positive = positive;
+                } else {
+                    env += (half - env) * alpha;
+                }
+                *s = u * env;
+            }
+        } else {
+            for (i, s) in out.samples_mut().iter_mut().enumerate() {
+                *s = at(i) * (2.0 * *s / v_lin).tanh();
+            }
+        }
+        SlewLimiter::new(core.config.slew_v_per_s).apply(&mut out);
+        OnePole::with_corner(core.config.bandwidth).apply(&mut out);
+        out.shift(core.config.prop_delay);
+        out
+    }
+
+    fn bits(wf: &Waveform) -> (u64, u64, Vec<u64>) {
+        let samples = wf.samples().iter().map(|v| v.to_bits()).collect();
+        (wf.t0().as_s().to_bits(), wf.dt().as_s().to_bits(), samples)
+    }
+
+    /// Seeded property: across noise on/off, envelope on/off, constant and
+    /// per-sample drive, and 0-, 1-, 2- and many-sample inputs, the fused
+    /// kernel reproduces the four-pass oracle bit for bit — output samples,
+    /// time axis, and the RNG state it leaves behind.
+    #[test]
+    fn fused_kernel_matches_four_pass_oracle() {
+        let mut rng = SplitMix64::new(0x0f05_ed00);
+        for case in 0..64u64 {
+            let noisy = case & 1 == 1;
+            let enveloped = case & 2 == 2;
+            let per_sample = case & 4 == 4;
+            let len = match case / 8 {
+                0 => 0,
+                1 => 1,
+                2 => 2,
+                _ => 3 + (rng.next_f64() * 400.0) as usize,
+            };
+            let mut cfg = BufferCoreConfig::ecl_default();
+            cfg.noise_rms = Voltage::from_mv(if noisy {
+                0.5 + 8.0 * rng.next_f64()
+            } else {
+                0.0
+            });
+            cfg.v_lin = Voltage::from_mv(20.0 + 100.0 * rng.next_f64());
+            cfg.slew_v_per_s = (0.005 + 0.05 * rng.next_f64()) * 1e12;
+            cfg.bandwidth = Frequency::from_ghz(2.0 + 10.0 * rng.next_f64());
+            if enveloped {
+                cfg.envelope_tau = Time::from_ps(2.0 + 60.0 * rng.next_f64());
+            }
+            let dt = Time::from_ps(0.25 + rng.next_f64());
+            let samples: Vec<f64> = (0..len)
+                .map(|i| {
+                    // Exact flats (repeated values) broken by wiggles.
+                    let level = if (i / 37) % 2 == 0 { 0.4 } else { -0.4 };
+                    match (i + case as usize) % 11 {
+                        0..=3 => level + 0.05 * (rng.next_f64() - 0.5),
+                        4 => 0.0,
+                        5 => -0.0,
+                        _ => level,
+                    }
+                })
+                .collect();
+            let input = Waveform::new(Time::from_ps(-3.0), dt, samples);
+            let halves: Vec<f64> = (0..len).map(|_| 0.005 + 0.4 * rng.next_f64()).collect();
+            let seed = rng.next_u64();
+            let mut fused = BufferCore::new("b", cfg.clone(), seed);
+            let mut oracle = BufferCore::new("b", cfg, seed);
+            let half = 0.005 + 0.4 * rng.next_f64();
+            let (drive_a, drive_b) = if per_sample {
+                (Drive::PerSample(&halves), Drive::PerSample(&halves))
+            } else {
+                (Drive::Const(half), Drive::Const(half))
+            };
+            let a = fused.process_inner(&input, drive_a);
+            let b = process_four_pass(&mut oracle, &input, drive_b);
+            assert_eq!(bits(&a), bits(&b), "case {case}: samples differ");
+            assert_eq!(
+                fused.rng.next_u64(),
+                oracle.rng.next_u64(),
+                "case {case}: RNG streams diverged"
+            );
+        }
     }
 
     #[test]

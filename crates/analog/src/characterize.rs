@@ -14,14 +14,14 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::block::{AnalogBlock, EdgeTransform};
+use crate::block::{AnalogBlock, EdgeTransform, TappedCascade};
 use crate::fingerprint::Fingerprint;
 use vardelay_measure::MeasureDelayError;
 use vardelay_obs as obs;
 use vardelay_runner::Runner;
 use vardelay_siggen::{BitPattern, EdgeStream, SplitMix64};
 use vardelay_units::{BitRate, Time, Voltage};
-use vardelay_waveform::{to_edge_stream, RenderConfig, Waveform};
+use vardelay_waveform::{pool, to_edge_stream, RenderConfig, Waveform};
 
 /// A grid point of a characterization sweep could not be measured — the
 /// chain output carried no usable signal (e.g. a dead driver under fault
@@ -174,7 +174,7 @@ impl DelayTable {
     /// `(vctrl, delay)` point per grid voltage, interpolated across the
     /// interval axis. This is the cache-backed solve entry point the
     /// calibration path uses — a table memoized by
-    /// [`measure_delay_table_cached`] answers every later curve request
+    /// [`measure_delay_tables_cached_with`] answers every later curve request
     /// without re-measuring, so concurrent consumers (e.g. the
     /// `vardelay-serve` channels) share one characterization.
     pub fn curve_at(&self, interval: Time) -> Vec<(Voltage, Time)> {
@@ -271,6 +271,68 @@ pub fn try_measure_delay_table_with(
     intervals: &[Time],
     render: &RenderConfig,
 ) -> Result<DelayTable, CharacterizeError> {
+    let drive = |vctrl: Voltage, wf: &Waveform, tap: &mut dyn FnMut(Waveform)| {
+        tap(build(vctrl).process(wf));
+    };
+    let mut tables = measure_grid(runner, 1, &drive, vctrls, intervals, render)?;
+    Ok(tables.pop().expect("one table per tap"))
+}
+
+/// Measures one `delay(vctrl, interval)` table per cascade depth in a
+/// single sweep: every grid cell builds one chain with `build(vctrl)`,
+/// drives it to the deepest of `depths`, and measures the output tapped
+/// at each depth (see [`TappedCascade`]). Tables come back in `depths`
+/// order, each equal to the table [`try_measure_delay_table_with`] would
+/// measure on a `depth`-deep chain.
+///
+/// # Errors
+///
+/// Returns [`CharacterizeError`] for the first failing grid point (in
+/// row-major `vctrls × intervals` order, shallowest depth first).
+///
+/// # Panics
+///
+/// Panics if `depths` is empty or not strictly ascending.
+fn try_measure_delay_tables_tapped_with(
+    runner: Runner,
+    build: &(dyn Fn(Voltage) -> Box<dyn TappedCascade + Send> + Sync),
+    depths: &[usize],
+    vctrls: &[Voltage],
+    intervals: &[Time],
+    render: &RenderConfig,
+) -> Result<Vec<DelayTable>, CharacterizeError> {
+    assert!(!depths.is_empty(), "at least one depth required");
+    assert!(
+        depths.windows(2).all(|w| w[0] < w[1]),
+        "depths must be strictly ascending"
+    );
+    let drive = |vctrl: Voltage, wf: &Waveform, tap: &mut dyn FnMut(Waveform)| {
+        build(vctrl).process_taps(wf, depths, tap);
+    };
+    measure_grid(runner, depths.len(), &drive, vctrls, intervals, render)
+}
+
+/// Runs one grid cell: drives the chain built for `vctrl` with the
+/// stimulus and hands each tapped output to the callback, in tap order.
+type DriveCell<'a> = dyn Fn(Voltage, &Waveform, &mut dyn FnMut(Waveform)) + Sync + 'a;
+
+/// The bench sweep behind every table: for each `(vctrl, interval)` cell,
+/// render a 1010… stimulus toggling every `interval`, let `drive` produce
+/// `taps` outputs, and record each output's steady-state mean delay.
+///
+/// Every grid cell builds its own chain from scratch and shares no state
+/// with any other cell, so the fan-out is bit-identical to the serial
+/// nested loop at every thread count. Each output is reduced to its edge
+/// stream as soon as it arrives and its buffer recycled, so a cell keeps
+/// at most one tapped trace alive.
+fn measure_grid(
+    runner: Runner,
+    taps: usize,
+    drive: &DriveCell<'_>,
+    vctrls: &[Voltage],
+    intervals: &[Time],
+    render: &RenderConfig,
+) -> Result<Vec<DelayTable>, CharacterizeError> {
     assert!(
         !vctrls.is_empty() && !intervals.is_empty(),
         "grids must be non-empty"
@@ -282,38 +344,49 @@ pub fn try_measure_delay_table_with(
         .iter()
         .flat_map(|&v| intervals.iter().map(move |&i| (v, i)))
         .collect();
-    let flat = runner
+    let measured = runner
         .par_map(&cells, |_, &(vctrl, interval)| {
             let rate = BitRate::from_bps(1.0 / interval.as_s());
             let stimulus = EdgeStream::nrz(&BitPattern::clock(TOTAL_BITS), rate);
             let wf = Waveform::render(&stimulus, render);
-            let mut chain = build(vctrl);
-            let out_wf = chain.process(&wf);
-            let out = to_edge_stream(&out_wf, 0.0, rate.bit_period());
-            if out.len() <= WARMUP_EDGES {
-                return Err(CharacterizeError::SignalLost {
-                    vctrl,
-                    interval,
-                    edges: out.len(),
+            let mut delays = Vec::with_capacity(taps);
+            drive(vctrl, &wf, &mut |out_wf| {
+                let out = to_edge_stream(&out_wf, 0.0, rate.bit_period());
+                pool::recycle(out_wf.into_samples());
+                delays.push(if out.len() <= WARMUP_EDGES {
+                    Err(CharacterizeError::SignalLost {
+                        vctrl,
+                        interval,
+                        edges: out.len(),
+                    })
+                } else {
+                    // Polarity-safe tail pairing: robust to start-up
+                    // transients and to a final edge cut off by the
+                    // capture window.
+                    vardelay_measure::tail_mean_delay(&stimulus, &out, WARMUP_EDGES).map_err(
+                        |source| CharacterizeError::Unmeasurable {
+                            vctrl,
+                            interval,
+                            source,
+                        },
+                    )
                 });
-            }
-            // Polarity-safe tail pairing: robust to start-up transients
-            // and to a final edge cut off by the capture window.
-            vardelay_measure::tail_mean_delay(&stimulus, &out, WARMUP_EDGES).map_err(|source| {
-                CharacterizeError::Unmeasurable {
-                    vctrl,
-                    interval,
-                    source,
-                }
-            })
+            });
+            pool::recycle(wf.into_samples());
+            assert_eq!(delays.len(), taps, "one output per tap");
+            delays.into_iter().collect::<Result<Vec<Time>, _>>()
         })
         .into_iter()
-        .collect::<Result<Vec<Time>, CharacterizeError>>()?;
-    let delays = flat
-        .chunks(intervals.len())
-        .map(|row| row.to_vec())
-        .collect();
-    Ok(DelayTable::new(vctrls.to_vec(), intervals.to_vec(), delays))
+        .collect::<Result<Vec<Vec<Time>>, CharacterizeError>>()?;
+    Ok((0..taps)
+        .map(|tap| {
+            let delays = measured
+                .chunks(intervals.len())
+                .map(|row| row.iter().map(|cell| cell[tap]).collect())
+                .collect();
+            DelayTable::new(vctrls.to_vec(), intervals.to_vec(), delays)
+        })
+        .collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -366,43 +439,123 @@ pub fn clear_characterization_cache() {
     cache().lock().expect("cache lock").clear();
 }
 
-/// [`measure_delay_table`], memoized on `(model_key, grids, render)`.
+/// One `delay(vctrl, interval)` table per cascade depth from a single
+/// tapped sweep (see [`TappedCascade`]), memoized per depth on
+/// `(model_keys[k], grids, render)`.
 ///
-/// `model_key` must fingerprint **everything** `build` closes over that
-/// can influence the measurement (see `ModelConfig::fingerprint` in
-/// `vardelay-core`, and DESIGN.md §8 for the invalidation rule); the grid
-/// values and render settings are folded in here. On a hit the stored
-/// table is cloned and `build` is never called. Disable with the
-/// `VARDELAY_NO_CACHE` environment variable (checked once per process).
-pub fn measure_delay_table_cached(
-    model_key: u64,
-    build: &(dyn Fn(Voltage) -> Box<dyn AnalogBlock + Send> + Sync),
+/// `model_keys[k]` must fingerprint **everything** the `depths[k]`-deep
+/// chain depends on that can influence the measurement (see
+/// `ModelConfig::fingerprint` in `vardelay-core`, and DESIGN.md §8 for the
+/// invalidation rule); the grid values and render settings are folded in
+/// here. A cached depth is cloned out and not re-measured; the rest are
+/// measured in one tapped sweep to the deepest of them, counting one miss
+/// per table. When every depth hits, `build` is never called. Disable
+/// with the `VARDELAY_NO_CACHE` environment variable (checked once per
+/// process): every call then measures every depth and stores nothing.
+///
+/// # Panics
+///
+/// Panics if `model_keys` and `depths` differ in length, if `depths` is
+/// not strictly ascending, or if a grid point carries no measurable
+/// signal.
+pub fn measure_delay_tables_cached_with(
+    runner: Runner,
+    model_keys: &[u64],
+    build: &(dyn Fn(Voltage) -> Box<dyn TappedCascade + Send> + Sync),
+    depths: &[usize],
     vctrls: &[Voltage],
     intervals: &[Time],
     render: &RenderConfig,
-) -> DelayTable {
-    measure_delay_table_cached_with(
-        Runner::global(),
-        model_key,
-        build,
-        vctrls,
-        intervals,
-        render,
-    )
+) -> Vec<DelayTable> {
+    assert_eq!(model_keys.len(), depths.len(), "one model key per depth");
+    let measure = |positions: &[usize]| {
+        let owned: Vec<usize> = positions.iter().map(|&k| depths[k]).collect();
+        try_measure_delay_tables_tapped_with(runner, build, &owned, vctrls, intervals, render)
+            .unwrap_or_else(|e| panic!("{e}"))
+    };
+    if !cache_enabled() {
+        let all: Vec<usize> = (0..depths.len()).collect();
+        return measure(&all);
+    }
+    // The map lock is held only long enough to fetch/insert the per-key
+    // slots; the measurement itself runs inside the slots' `OnceLock`s,
+    // so misses on *different* keys never serialize each other, while
+    // racing misses on the *same* key single-flight: one thread measures,
+    // the rest block until the table exists.
+    let slots: Vec<CacheSlot> = {
+        let mut map = cache().lock().expect("cache lock");
+        model_keys
+            .iter()
+            .map(|&k| {
+                let key = grid_key(k, vctrls, intervals, render);
+                map.entry(key).or_default().clone()
+            })
+            .collect()
+    };
+    let mut fresh = vec![None; slots.len()];
+    claim_slots(&slots, 0, &mut Vec::new(), &mut fresh, &measure);
+    slots
+        .iter()
+        .map(|slot| DelayTable::clone(slot.get().expect("every slot is filled")))
+        .collect()
 }
 
-/// [`measure_delay_table_cached`] on an explicit [`Runner`].
-pub fn measure_delay_table_cached_with(
-    runner: Runner,
-    model_key: u64,
-    build: &(dyn Fn(Voltage) -> Box<dyn AnalogBlock + Send> + Sync),
-    vctrls: &[Voltage],
-    intervals: &[Time],
-    render: &RenderConfig,
-) -> DelayTable {
-    if !cache_enabled() {
-        return measure_delay_table_with(runner, build, vctrls, intervals, render);
+/// Measures the tables at the given key positions, in order.
+type Measure<'a> = dyn Fn(&[usize]) -> Vec<DelayTable> + 'a;
+
+/// Walks `slots[at..]` in order: a filled slot is a hit, an empty one is
+/// claimed by entering its `OnceLock` initializer and recursing from
+/// inside it, and one another thread is filling is waited on. Once every
+/// slot is visited, the claimed positions (`owned`) are measured in one
+/// call, and each initializer returns its own table on the way out.
+///
+/// Several slots stay claimed at once, so callers must visit any shared
+/// keys in the same order (a family's depths ascend) — then no two
+/// callers can each hold a slot the other waits on. A panicking
+/// measurement unwinds through every claimed initializer and leaves those
+/// slots empty for the next caller.
+fn claim_slots(
+    slots: &[CacheSlot],
+    at: usize,
+    owned: &mut Vec<usize>,
+    fresh: &mut [Option<Arc<DelayTable>>],
+    measure: &Measure<'_>,
+) {
+    let Some(slot) = slots.get(at) else {
+        if !owned.is_empty() {
+            let _span = obs::span("analog.characterize_miss_us");
+            for (&k, table) in owned.iter().zip(measure(owned)) {
+                fresh[k] = Some(Arc::new(table));
+            }
+        }
+        return;
+    };
+    if slot.get().is_some() {
+        CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+        obs::counter("analog.cache_hits").incr();
+        return claim_slots(slots, at + 1, owned, fresh, measure);
     }
+    let mut claimed = false;
+    slot.get_or_init(|| {
+        // Runs exactly once per slot no matter how many callers race, so
+        // the miss count equals the measurement count by construction.
+        claimed = true;
+        CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
+        obs::counter("analog.cache_misses").incr();
+        owned.push(at);
+        claim_slots(slots, at + 1, owned, fresh, measure);
+        fresh[at].take().expect("claimed slot was measured")
+    });
+    if !claimed {
+        SINGLE_FLIGHT_WAITS.fetch_add(1, Ordering::Relaxed);
+        obs::counter("analog.single_flight_waits").incr();
+        claim_slots(slots, at + 1, owned, fresh, measure);
+    }
+}
+
+/// The cache key of one table: the model key folded with the grid values
+/// and render settings.
+fn grid_key(model_key: u64, vctrls: &[Voltage], intervals: &[Time], render: &RenderConfig) -> u64 {
     let mut fp = Fingerprint::new();
     fp.push_u64(model_key);
     fp.push_usize(vctrls.len());
@@ -417,41 +570,7 @@ pub fn measure_delay_table_cached_with(
         .push_f64(render.swing.as_v())
         .push_f64(render.rise_time.as_s())
         .push_f64(render.padding.as_s());
-    let key = fp.finish();
-
-    // The map lock is held only long enough to fetch/insert the per-key
-    // slot; the measurement itself runs inside the slot's `OnceLock`, so
-    // misses on *different* keys never serialize each other, while
-    // racing misses on the *same* key single-flight: one thread measures,
-    // the rest block until the table exists.
-    let slot: CacheSlot = cache()
-        .lock()
-        .expect("cache lock")
-        .entry(key)
-        .or_default()
-        .clone();
-    if let Some(table) = slot.get() {
-        CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        obs::counter("analog.cache_hits").incr();
-        return DelayTable::clone(table);
-    }
-    let mut measured_here = false;
-    let table = slot.get_or_init(|| {
-        // Runs exactly once per slot no matter how many callers race, so
-        // the miss count equals the measurement count by construction.
-        measured_here = true;
-        CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-        obs::counter("analog.cache_misses").incr();
-        let _span = obs::span("analog.characterize_miss_us");
-        Arc::new(measure_delay_table_with(
-            runner, build, vctrls, intervals, render,
-        ))
-    });
-    if !measured_here {
-        SINGLE_FLIGHT_WAITS.fetch_add(1, Ordering::Relaxed);
-        obs::counter("analog.single_flight_waits").incr();
-    }
-    DelayTable::clone(table)
+    fp.finish()
 }
 
 /// A table-driven edge-domain delay element with per-edge random jitter —
@@ -694,22 +813,70 @@ mod tests {
         }
     }
 
+    /// A cascade of identical `step_ps` lines: the tap at depth `d` is the
+    /// input delayed by `d · step_ps`. Records every depth list it is
+    /// driven with in `driven`, so tests can see which depths a sweep
+    /// actually measured.
+    struct LineCascade {
+        step_ps: f64,
+        driven: Option<&'static Mutex<Vec<Vec<usize>>>>,
+    }
+
+    impl TappedCascade for LineCascade {
+        fn process_taps(
+            &mut self,
+            input: &Waveform,
+            depths: &[usize],
+            tap: &mut dyn FnMut(Waveform),
+        ) {
+            if let Some(driven) = self.driven {
+                driven.lock().unwrap().push(depths.to_vec());
+            }
+            for &d in depths {
+                tap(TransmissionLine::new(Time::from_ps(self.step_ps * d as f64)).process(input));
+            }
+        }
+    }
+
+    fn lines(step_ps: f64) -> Box<dyn TappedCascade + Send> {
+        Box::new(LineCascade {
+            step_ps,
+            driven: None,
+        })
+    }
+
+    /// A one-depth family through the cache: the single-table lookup
+    /// `FineDelayLine::characterize_with` makes.
+    fn cached_one(
+        key: u64,
+        build: &(dyn Fn(Voltage) -> Box<dyn TappedCascade + Send> + Sync),
+        vctrls: &[Voltage],
+        intervals: &[Time],
+    ) -> DelayTable {
+        let render = RenderConfig::default_source();
+        let runner = Runner::global();
+        measure_delay_tables_cached_with(runner, &[key], build, &[1], vctrls, intervals, &render)
+            .pop()
+            .expect("one table per depth")
+    }
+
     #[test]
     fn cached_table_matches_uncached_and_hits_on_repeat() {
         let _counters = counter_lock();
         let build = |_v: Voltage| -> Box<dyn AnalogBlock + Send> {
             Box::new(TransmissionLine::new(Time::from_ps(11.0)))
         };
+        let tapped = |_v: Voltage| lines(11.0);
         let vctrls = [Voltage::ZERO, Voltage::from_v(1.0)];
         let intervals = [Time::from_ps(600.0)];
         let render = RenderConfig::default_source();
         // A key private to this test so parallel tests cannot collide.
         let key = 0xc0de_cafe_0000_0001;
         let uncached = measure_delay_table(&build, &vctrls, &intervals, &render);
-        let first = measure_delay_table_cached(key, &build, &vctrls, &intervals, &render);
+        let first = cached_one(key, &tapped, &vctrls, &intervals);
         assert_eq!(first, uncached);
         let (hits_before, _) = characterization_cache_stats();
-        let second = measure_delay_table_cached(key, &build, &vctrls, &intervals, &render);
+        let second = cached_one(key, &tapped, &vctrls, &intervals);
         assert_eq!(second, first);
         if cache_enabled() {
             let (hits_after, _) = characterization_cache_stats();
@@ -720,26 +887,11 @@ mod tests {
     #[test]
     fn cache_distinguishes_grids_and_keys() {
         let _counters = counter_lock();
-        let build = |_v: Voltage| -> Box<dyn AnalogBlock + Send> {
-            Box::new(TransmissionLine::new(Time::from_ps(5.0)))
-        };
-        let render = RenderConfig::default_source();
+        let build = |_v: Voltage| lines(5.0);
         let key = 0xc0de_cafe_0000_0002;
-        let a = measure_delay_table_cached(
-            key,
-            &build,
-            &[Voltage::ZERO],
-            &[Time::from_ps(500.0)],
-            &render,
-        );
+        let a = cached_one(key, &build, &[Voltage::ZERO], &[Time::from_ps(500.0)]);
         // Same key, different grid → different cache entry, correct grid out.
-        let b = measure_delay_table_cached(
-            key,
-            &build,
-            &[Voltage::ZERO],
-            &[Time::from_ps(900.0)],
-            &render,
-        );
+        let b = cached_one(key, &build, &[Voltage::ZERO], &[Time::from_ps(900.0)]);
         assert_ne!(a.intervals(), b.intervals());
     }
 
@@ -764,32 +916,29 @@ mod tests {
         let barrier = std::sync::Barrier::new(2);
         let vctrls = [Voltage::ZERO];
         let intervals = [Time::from_ps(700.0)];
-        let render = RenderConfig::default_source();
 
-        let leader_build = |_v: Voltage| -> Box<dyn AnalogBlock + Send> {
+        let leader_build = |_v: Voltage| {
             barrier.wait();
             // Hold the measurement in flight long enough for the second
             // thread to reach the cache and block on the slot.
             std::thread::sleep(std::time::Duration::from_millis(200));
             build_calls.fetch_add(1, Ordering::Relaxed);
-            Box::new(TransmissionLine::new(Time::from_ps(17.0)))
+            lines(17.0)
         };
-        let racer_build = |_v: Voltage| -> Box<dyn AnalogBlock + Send> {
+        let racer_build = |_v: Voltage| {
             build_calls.fetch_add(1, Ordering::Relaxed);
-            Box::new(TransmissionLine::new(Time::from_ps(17.0)))
+            lines(17.0)
         };
 
         let (hits0, misses0) = characterization_cache_stats();
         let waits0 = characterization_single_flight_waits();
         let (a, b) = std::thread::scope(|scope| {
-            let leader = scope.spawn(|| {
-                measure_delay_table_cached(key, &leader_build, &vctrls, &intervals, &render)
-            });
+            let leader = scope.spawn(|| cached_one(key, &leader_build, &vctrls, &intervals));
             let racer = scope.spawn(|| {
                 // Released exactly when the leader is inside its build
                 // closure, i.e. mid-measurement.
                 barrier.wait();
-                measure_delay_table_cached(key, &racer_build, &vctrls, &intervals, &render)
+                cached_one(key, &racer_build, &vctrls, &intervals)
             });
             (leader.join().unwrap(), racer.join().unwrap())
         });
@@ -810,10 +959,148 @@ mod tests {
         assert_eq!(waited + hit, 1, "waits {waited} hits {hit}");
 
         // A later lookup on the same key is a plain hit.
-        let again = measure_delay_table_cached(key, &racer_build, &vctrls, &intervals, &render);
+        let again = cached_one(key, &racer_build, &vctrls, &intervals);
         assert_eq!(again, a);
         assert_eq!(characterization_cache_stats().1, misses1, "no extra miss");
         assert_eq!(build_calls.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn depth_family_measures_only_uncached_depths() {
+        if !cache_enabled() {
+            return; // VARDELAY_NO_CACHE=1: every call measures.
+        }
+        let _counters = counter_lock();
+        static DRIVEN: Mutex<Vec<Vec<usize>>> = Mutex::new(Vec::new());
+        let build = |_v: Voltage| -> Box<dyn TappedCascade + Send> {
+            Box::new(LineCascade {
+                step_ps: 11.0,
+                driven: Some(&DRIVEN),
+            })
+        };
+        let vctrls = [Voltage::ZERO, Voltage::from_v(1.0)];
+        let intervals = [Time::from_ps(600.0)];
+        let render = RenderConfig::default_source();
+        let keys = [
+            0xc0de_cafe_0000_0011,
+            0xc0de_cafe_0000_0012,
+            0xc0de_cafe_0000_0013,
+        ];
+        let runner = Runner::serial();
+
+        let (_, misses0) = characterization_cache_stats();
+        let first = measure_delay_tables_cached_with(
+            runner,
+            &keys[..2],
+            &build,
+            &[1, 2],
+            &vctrls,
+            &intervals,
+            &render,
+        );
+        for (depth, table) in [1.0, 2.0].iter().zip(&first) {
+            let d = table.delay_at(Voltage::ZERO, Time::from_ps(600.0));
+            assert!((d.as_ps() - 11.0 * depth).abs() < 0.5, "depth {depth}: {d}");
+        }
+        assert_eq!(
+            characterization_cache_stats().1 - misses0,
+            2,
+            "one miss per table"
+        );
+        assert!(DRIVEN.lock().unwrap().iter().all(|d| d == &[1, 2]));
+
+        // Extending the family measures only the new depth…
+        DRIVEN.lock().unwrap().clear();
+        let (hits1, misses1) = characterization_cache_stats();
+        let second = measure_delay_tables_cached_with(
+            runner,
+            &keys,
+            &build,
+            &[1, 2, 3],
+            &vctrls,
+            &intervals,
+            &render,
+        );
+        assert_eq!(second[..2], first[..]);
+        let (hits2, misses2) = characterization_cache_stats();
+        assert_eq!((hits2 - hits1, misses2 - misses1), (2, 1));
+        let driven = DRIVEN.lock().unwrap().clone();
+        assert_eq!(driven.len(), vctrls.len() * intervals.len());
+        assert!(driven.iter().all(|d| d == &[3]), "{driven:?}");
+
+        // …and a single-depth lookup on a family key is a plain hit.
+        let never = |_v: Voltage| -> Box<dyn TappedCascade + Send> {
+            panic!("a cached key must not be measured")
+        };
+        let single = cached_one(keys[2], &never, &vctrls, &intervals);
+        assert_eq!(single, second[2]);
+    }
+
+    /// Two families sharing depths 2 and 4 race, forced by a barrier as in
+    /// the single-key test: the leader holds claims on 1, 2 and 4 while the
+    /// racer starts. The racer blocks on depth 2, then finds 2 and 4
+    /// filled and measures only depth 8. Every table counts one miss.
+    #[test]
+    fn racing_depth_families_share_overlapping_depths() {
+        if !cache_enabled() {
+            return;
+        }
+        let _counters = counter_lock();
+        static DRIVEN: Mutex<Vec<Vec<usize>>> = Mutex::new(Vec::new());
+        let barrier = std::sync::Barrier::new(2);
+        let cascade = || -> Box<dyn TappedCascade + Send> {
+            Box::new(LineCascade {
+                step_ps: 7.0,
+                driven: Some(&DRIVEN),
+            })
+        };
+        let leader_build = |_v: Voltage| {
+            barrier.wait();
+            std::thread::sleep(std::time::Duration::from_millis(200));
+            cascade()
+        };
+        let racer_build = |_v: Voltage| cascade();
+        let vctrls = [Voltage::ZERO];
+        let intervals = [Time::from_ps(700.0)];
+        let render = RenderConfig::default_source();
+        let [k1, k2, k4, k8] = [
+            0xc0de_cafe_0000_0021,
+            0xc0de_cafe_0000_0022,
+            0xc0de_cafe_0000_0024,
+            0xc0de_cafe_0000_0028,
+        ];
+        let runner = Runner::serial();
+
+        let (_, misses0) = characterization_cache_stats();
+        let (a, b) = std::thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                measure_delay_tables_cached_with(
+                    runner,
+                    &[k1, k2, k4],
+                    &leader_build,
+                    &[1, 2, 4],
+                    &vctrls,
+                    &intervals,
+                    &render,
+                )
+            });
+            let racer = scope.spawn(|| {
+                barrier.wait();
+                measure_delay_tables_cached_with(
+                    runner,
+                    &[k2, k4, k8],
+                    &racer_build,
+                    &[2, 4, 8],
+                    &vctrls,
+                    &intervals,
+                    &render,
+                )
+            });
+            (leader.join().unwrap(), racer.join().unwrap())
+        });
+        assert_eq!(a[1..], b[..2]);
+        assert_eq!(characterization_cache_stats().1 - misses0, 4);
+        assert_eq!(*DRIVEN.lock().unwrap(), vec![vec![1, 2, 4], vec![8]]);
     }
 
     #[test]

@@ -43,14 +43,14 @@ pub mod noise;
 pub mod tline;
 pub mod vga_buffer;
 
-pub use block::{AnalogBlock, EdgeTransform};
+pub use block::{AnalogBlock, EdgeTransform, TappedCascade};
 pub use buffer_core::{BufferCore, BufferCoreConfig};
 pub use chain::{Chain, EdgeChain};
 pub use characterize::{
     characterization_cache_stats, characterization_single_flight_waits,
-    clear_characterization_cache, measure_delay_table, measure_delay_table_cached,
-    measure_delay_table_cached_with, measure_delay_table_with, try_measure_delay_table,
-    try_measure_delay_table_with, CharacterizeError, CharacterizedDelay, DelayTable,
+    clear_characterization_cache, measure_delay_table, measure_delay_table_with,
+    measure_delay_tables_cached_with, try_measure_delay_table, try_measure_delay_table_with,
+    CharacterizeError, CharacterizedDelay, DelayTable,
 };
 pub use coupling::AcCoupling;
 pub use crosstalk::CrosstalkCoupling;

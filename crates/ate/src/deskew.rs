@@ -815,10 +815,7 @@ mod tests {
             min: Time::ZERO,
             max: Time::from_ps(150.0),
         };
-        let err = DeskewError::CorrectionOutOfRange {
-            channel: 3,
-            source: source.clone(),
-        };
+        let err = DeskewError::CorrectionOutOfRange { channel: 3, source };
         let chained = err
             .source()
             .expect("out-of-range corrections carry a source")

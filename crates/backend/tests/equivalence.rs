@@ -7,7 +7,7 @@
 //! channel from a concrete circuit to a boxed backend, and this suite
 //! is what makes that swap provably invisible on the default path.
 
-use vardelay_backend::{make_backend, BackendKind, BackendSentinel, DelayBackend};
+use vardelay_backend::{make_backend, BackendKind, BackendSentinel};
 use vardelay_core::{CombinedDelayCircuit, ModelConfig, Sentinel, SentinelConfig};
 use vardelay_runner::Runner;
 use vardelay_units::Time;

@@ -2,7 +2,7 @@
 //! cascading two fine circuits (DESIGN.md §6).
 
 use crate::EXPERIMENT_SEED;
-use vardelay_analog::EdgeTransform;
+use vardelay_analog::{CharacterizedDelay, EdgeTransform};
 use vardelay_core::{FineDelayLine, ModelConfig};
 use vardelay_measure::{tie_sequence, JitterStats};
 use vardelay_runner::Runner;
@@ -22,6 +22,17 @@ pub struct StageAblation {
     pub added_tj: Time,
 }
 
+/// Characterizes the paper prototype's cascade at every depth in `depths`
+/// (ascending) in one tapped sweep on `runner`. Each table lands in the
+/// characterization cache under its depth's own key, so the per-cell
+/// `characterize_with` lookups that follow only hit, and depths another
+/// ablation already measured are not measured again.
+fn characterize_depths(runner: Runner, depths: &[usize]) {
+    let line = FineDelayLine::new(&ModelConfig::paper_prototype().quiet(), EXPERIMENT_SEED);
+    let (vctrls, intervals) = line.default_grids();
+    line.characterize_depths_with(runner, depths, &vctrls, &intervals);
+}
+
 /// Sweeps the cascade depth 1..=max_stages, reporting the range/jitter
 /// trade-off that motivates the paper's choice of four stages plus a
 /// passive coarse section.
@@ -29,10 +40,11 @@ pub fn stage_count_ablation(max_stages: usize, bits: usize) -> Vec<StageAblation
     stage_count_ablation_with(Runner::global(), max_stages, bits)
 }
 
-/// [`stage_count_ablation`] on an explicit [`Runner`]. Cells are fully
-/// independent — each builds its own line and seeds its edge model with
-/// `EXPERIMENT_SEED + stages` — so the fan-out is bit-identical to the
-/// serial loop.
+/// [`stage_count_ablation`] on an explicit [`Runner`]. Depths
+/// `1..=max_stages` are characterized in one shared-prefix sweep; the
+/// cells are then fully independent — each builds its own line and seeds
+/// its edge model with `EXPERIMENT_SEED + stages` — so the fan-out is
+/// bit-identical to the serial loop.
 pub fn stage_count_ablation_with(
     runner: Runner,
     max_stages: usize,
@@ -40,13 +52,16 @@ pub fn stage_count_ablation_with(
 ) -> Vec<StageAblation> {
     let rate = BitRate::from_gbps(6.4);
     let clean = EdgeStream::nrz(&BitPattern::prbs7(1, bits), rate);
+    let depths: Vec<usize> = (1..=max_stages).collect();
+    characterize_depths(runner, &depths);
     runner.run(max_stages, |idx| {
         let stages = idx + 1;
         let mut cfg = ModelConfig::paper_prototype();
         cfg.stages = stages;
         let line = FineDelayLine::new(&cfg.quiet(), EXPERIMENT_SEED);
         let (vctrls, intervals) = line.default_grids();
-        let mut model = line.edge_model(&vctrls, &intervals, EXPERIMENT_SEED + stages as u64);
+        let seed = EXPERIMENT_SEED + stages as u64;
+        let mut model = line.edge_model_with(runner, &vctrls, &intervals, seed);
         model.set_vctrl(Voltage::from_v(0.75));
         let out = model.transform(&clean);
         let added = JitterStats::from_times(&tie_sequence(&out))
@@ -54,8 +69,8 @@ pub fn stage_count_ablation_with(
             .peak_to_peak;
         StageAblation {
             stages,
-            dc_range: line.delay_range(Time::from_ps(1000.0)),
-            range_at_6g4: line.delay_range(Time::from_ps(78.0)),
+            dc_range: line.delay_range_with(runner, Time::from_ps(1000.0)),
+            range_at_6g4: line.delay_range_with(runner, Time::from_ps(78.0)),
             added_tj: added,
         }
     })
@@ -80,12 +95,14 @@ pub fn architecture_comparison(bits: usize) -> ArchitectureComparison {
     architecture_comparison_with(Runner::global(), bits)
 }
 
-/// [`architecture_comparison`] on an explicit [`Runner`]. The two arms
-/// are independent builds with their own seeds, so running them as two
-/// tasks is bit-identical to the serial order.
+/// [`architecture_comparison`] on an explicit [`Runner`]. Both arms'
+/// depths are characterized in one shared-prefix sweep; the arms are then
+/// independent builds with their own seeds, so running them as two tasks
+/// is bit-identical to the serial order.
 pub fn architecture_comparison_with(runner: Runner, bits: usize) -> ArchitectureComparison {
     let rate = BitRate::from_gbps(6.4);
     let clean = EdgeStream::nrz(&BitPattern::prbs7(1, bits), rate);
+    characterize_depths(runner, &[4, 8]);
 
     // Paper architecture: 4 fine + output + fanout + mux = 7 active.
     // Alternative: two fine circuits back-to-back = 8 VGA + output = 9.
@@ -98,18 +115,14 @@ pub fn architecture_comparison_with(runner: Runner, bits: usize) -> Architecture
         cfg.stages = stages;
         let line = FineDelayLine::new(&cfg.quiet(), EXPERIMENT_SEED);
         let (vctrls, intervals) = line.default_grids();
-        let table = line.characterize(&vctrls, &intervals);
-        let mut model = vardelay_analog::CharacterizedDelay::new(
-            table,
-            Voltage::from_v(0.75),
-            cfg.chain_rj(active),
-            seed,
-        );
+        let table = line.characterize_with(runner, &vctrls, &intervals);
+        let mut model =
+            CharacterizedDelay::new(table, Voltage::from_v(0.75), cfg.chain_rj(active), seed);
         let out = model.transform(&clean);
         let tj = JitterStats::from_times(&tie_sequence(&out))
             .expect("stream carries edges")
             .peak_to_peak;
-        (tj, line.delay_range(Time::from_ps(1000.0)))
+        (tj, line.delay_range_with(runner, Time::from_ps(1000.0)))
     });
 
     ArchitectureComparison {

@@ -595,11 +595,7 @@ fn write_runtime_record(arg: &str, wall_s: f64, timings: &[(String, f64)], resum
         }
     }
     if obs::enabled() {
-        println!(
-            "\n--- metrics ({}) ---\n{}",
-            "vardelay-obs",
-            obs::snapshot()
-        );
+        println!("\n--- metrics (vardelay-obs) ---\n{}", obs::snapshot());
     }
 }
 
@@ -1054,9 +1050,12 @@ fn run_backends() -> ! {
     std::process::exit(0);
 }
 
+/// An experiment's name and its entry point.
+type Experiment = (&'static str, fn());
+
 /// Every experiment, in the paper's presentation order — the order
 /// `repro all` runs them and the order checkpoints are laid down in.
-const EXPERIMENTS: &[(&str, fn())] = &[
+const EXPERIMENTS: &[Experiment] = &[
     ("fig7", fig7),
     ("fig9", fig9),
     ("fig12", fig12),
@@ -1077,11 +1076,11 @@ const EXPERIMENTS: &[(&str, fn())] = &[
 /// table. Duplicate names are collapsed to their first occurrence —
 /// `repro fig12,fig12` must not run the experiment twice and
 /// double-write its checkpoint. `Err` carries the first unknown name.
-fn parse_selection(arg: &str) -> Result<Vec<(&'static str, fn())>, String> {
+fn parse_selection(arg: &str) -> Result<Vec<Experiment>, String> {
     if arg == "all" {
         return Ok(EXPERIMENTS.to_vec());
     }
-    let mut picked: Vec<(&'static str, fn())> = Vec::new();
+    let mut picked: Vec<Experiment> = Vec::new();
     for name in arg.split(',').filter(|s| !s.is_empty()) {
         match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
             Some(&entry) => {

@@ -100,7 +100,7 @@ impl CombinedDelayCircuit {
 
     /// [`CombinedDelayCircuit::calibrate`] through the characterization
     /// cache: the fine line's delay table is measured **once per model
-    /// fingerprint** (`measure_delay_table_cached` in `vardelay-analog`,
+    /// fingerprint** (`measure_delay_tables_cached_with` in `vardelay-analog`,
     /// single-flight across racing callers) and every later calibration
     /// — another channel of a multi-tenant unit, another server start in
     /// the same process — rebuilds its [`CalibrationTable`] from the

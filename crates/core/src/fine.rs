@@ -4,8 +4,8 @@
 
 use crate::config::ModelConfig;
 use vardelay_analog::{
-    measure_delay_table_cached_with, AnalogBlock, CharacterizedDelay, DelayTable, LimitingBuffer,
-    VgaBuffer,
+    measure_delay_tables_cached_with, AnalogBlock, CharacterizedDelay, DelayTable, LimitingBuffer,
+    TappedCascade, VgaBuffer,
 };
 use vardelay_runner::Runner;
 use vardelay_siggen::{BitPattern, EdgeStream};
@@ -199,15 +199,52 @@ impl FineDelayLine {
         vctrls: &[Voltage],
         intervals: &[Time],
     ) -> DelayTable {
-        let cfg = self.config.quiet();
-        let render = self.config.render.clone();
-        let key = cfg.fingerprint();
-        let build = move |v: Voltage| -> Box<dyn AnalogBlock + Send> {
+        self.characterize_depths_with(runner, &[self.stage_count()], vctrls, intervals)
+            .pop()
+            .expect("one table per depth")
+    }
+
+    /// Characterizes this line's design at several cascade depths in one
+    /// sweep: each grid cell drives a single seed-0 noise-free line to the
+    /// deepest of `depths` and taps the output stage after every requested
+    /// depth, instead of rebuilding and re-driving the shared stage prefix
+    /// once per depth. Entry `k` of the result is bit-identical to
+    /// [`FineDelayLine::characterize_with`] on this configuration with
+    /// `stages = depths[k]`, and is memoized under that same key: depths
+    /// already cached are not re-measured, and later single-depth lookups
+    /// hit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depths` is empty, not strictly ascending, or starts at
+    /// zero.
+    pub fn characterize_depths_with(
+        &self,
+        runner: Runner,
+        depths: &[usize],
+        vctrls: &[Voltage],
+        intervals: &[Time],
+    ) -> Vec<DelayTable> {
+        assert!(
+            depths.first().is_some_and(|&d| d > 0),
+            "depths start at one stage"
+        );
+        let mut cfg = self.config.quiet();
+        let keys: Vec<u64> = depths
+            .iter()
+            .map(|&d| {
+                cfg.stages = d;
+                cfg.fingerprint()
+            })
+            .collect();
+        // `cfg` now holds the deepest depth: every cell builds that line.
+        let build = move |v: Voltage| -> Box<dyn TappedCascade + Send> {
             let mut line = FineDelayLine::new(&cfg, 0);
             line.set_vctrl(v);
             Box::new(line)
         };
-        measure_delay_table_cached_with(runner, key, &build, vctrls, intervals, &render)
+        let render = &self.config.render;
+        measure_delay_tables_cached_with(runner, &keys, &build, depths, vctrls, intervals, render)
     }
 
     /// Builds the fast edge-domain model of this line: the characterized
@@ -219,7 +256,19 @@ impl FineDelayLine {
         intervals: &[Time],
         seed: u64,
     ) -> CharacterizedDelay {
-        let table = self.characterize(vctrls, intervals);
+        self.edge_model_with(Runner::global(), vctrls, intervals, seed)
+    }
+
+    /// [`FineDelayLine::edge_model`], characterizing on an explicit
+    /// [`Runner`].
+    pub fn edge_model_with(
+        &self,
+        runner: Runner,
+        vctrls: &[Voltage],
+        intervals: &[Time],
+        seed: u64,
+    ) -> CharacterizedDelay {
+        let table = self.characterize_with(runner, vctrls, intervals);
         let rj = self.config.chain_rj(self.stage_count() + 1);
         CharacterizedDelay::new(table, self.vctrl, rj, seed)
     }
@@ -258,6 +307,37 @@ impl FineDelayLine {
         let out = self.output_stage.process(&wf);
         vardelay_waveform::pool::recycle(wf.into_samples());
         out
+    }
+}
+
+impl TappedCascade for FineDelayLine {
+    /// Taps the output stage after each requested number of variable-gain
+    /// stages. Stage `i` is seeded identically at every depth, and each
+    /// tap runs a fresh clone of the output stage, so the tap at depth `d`
+    /// equals [`AnalogBlock::process`] on a line built `d` stages deep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a requested depth exceeds the stage count.
+    fn process_taps(&mut self, input: &Waveform, depths: &[usize], tap: &mut dyn FnMut(Waveform)) {
+        let deepest = depths.last().copied().unwrap_or(0);
+        assert!(deepest <= self.stages.len(), "tap beyond the last stage");
+        let mut prefix: Option<Waveform> = None;
+        let mut driven = 0;
+        for &depth in depths {
+            for stage in &mut self.stages[driven..depth] {
+                let next = stage.process(prefix.as_ref().unwrap_or(input));
+                if let Some(done) = prefix.replace(next) {
+                    vardelay_waveform::pool::recycle(done.into_samples());
+                }
+            }
+            driven = depth;
+            let mut output_stage = self.output_stage.clone();
+            tap(output_stage.process(prefix.as_ref().unwrap_or(input)));
+        }
+        if let Some(done) = prefix {
+            vardelay_waveform::pool::recycle(done.into_samples());
+        }
     }
 }
 

@@ -24,6 +24,9 @@
 //! * `waveform.pool_reuses` — takes served from a recycled buffer.
 
 use std::cell::RefCell;
+use std::sync::OnceLock;
+
+use vardelay_obs::Counter;
 
 /// Buffers retained per thread. A full characterization sweep keeps at
 /// most a handful of traces alive at once; anything beyond this cap is
@@ -34,19 +37,32 @@ thread_local! {
     static POOL: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
 }
 
+/// `waveform.pool_allocs`, resolved once: a registry lookup locks the
+/// global metric map, and `take` runs several times per stage.
+fn allocs() -> &'static Counter {
+    static ALLOCS: OnceLock<&'static Counter> = OnceLock::new();
+    ALLOCS.get_or_init(|| vardelay_obs::counter("waveform.pool_allocs"))
+}
+
+/// `waveform.pool_reuses`, resolved once (see [`allocs`]).
+fn reuses() -> &'static Counter {
+    static REUSES: OnceLock<&'static Counter> = OnceLock::new();
+    REUSES.get_or_init(|| vardelay_obs::counter("waveform.pool_reuses"))
+}
+
 /// Takes an empty buffer with at least `capacity` spare room, reusing a
 /// recycled allocation when one is available.
 pub fn take(capacity: usize) -> Vec<f64> {
     let reused = POOL.with(|p| p.borrow_mut().pop());
     match reused {
         Some(mut buf) => {
-            vardelay_obs::counter("waveform.pool_reuses").incr();
+            reuses().incr();
             buf.clear();
             buf.reserve(capacity);
             buf
         }
         None => {
-            vardelay_obs::counter("waveform.pool_allocs").incr();
+            allocs().incr();
             Vec::with_capacity(capacity)
         }
     }
@@ -79,10 +95,7 @@ pub fn recycle(mut buf: Vec<f64>) {
 /// `(allocs, reuses)` of the process-wide pool counters — allocations
 /// that reached the heap versus takes served from recycled buffers.
 pub fn pool_stats() -> (u64, u64) {
-    (
-        vardelay_obs::counter("waveform.pool_allocs").get(),
-        vardelay_obs::counter("waveform.pool_reuses").get(),
-    )
+    (allocs().get(), reuses().get())
 }
 
 #[cfg(test)]

@@ -8,13 +8,15 @@
 //! on — the Fig. 7 fine-delay sweep (E1) and the Fig. 2 bus deskew (E9) —
 //! by comparing the exact CSV bytes a `repro` run would write.
 
+use vardelay_analog::{measure_delay_table_with, AnalogBlock};
 use vardelay_ate::report::deskew_table;
-use vardelay_bench::{fine_delay, skew};
+use vardelay_bench::{ablation, fine_delay, skew};
 use vardelay_core::{FineDelayLine, ModelConfig};
 use vardelay_obs as obs;
 use vardelay_obs::journal;
 use vardelay_obs::json::Value;
 use vardelay_runner::Runner;
+use vardelay_units::Voltage;
 
 #[test]
 fn fig7_series_csv_is_byte_identical_at_any_thread_count() {
@@ -129,4 +131,65 @@ fn characterization_is_identical_across_thread_counts_and_cache_states() {
     // And the warm-cache path returns the same table again.
     let cached = line.characterize_with(Runner::new(3), vctrls, intervals);
     assert_eq!(serial, cached);
+}
+
+/// The depth-family sweep taps one deep cascade instead of building each
+/// depth separately; every tapped table must equal, byte for byte, both a
+/// cold single-depth `characterize_with` and the plain waveform-chain
+/// measurement of a line built that deep — at 1 and 2 threads.
+#[test]
+fn depth_family_tables_equal_per_depth_characterization() {
+    let base = ModelConfig::paper_prototype().quiet();
+    let line = FineDelayLine::new(&base, 1);
+    let (vctrls, intervals) = line.default_grids();
+    let vctrls = &vctrls[..3];
+    let intervals = &intervals[..2];
+    let depths = [1, 2, 3, 5];
+    let bytes = |table: &vardelay_analog::DelayTable| format!("{table:?}");
+
+    for threads in [1, 2] {
+        let runner = Runner::new(threads);
+        vardelay_analog::clear_characterization_cache();
+        let family = line.characterize_depths_with(runner, &depths, vctrls, intervals);
+        assert_eq!(family.len(), depths.len());
+        for (&depth, tapped) in depths.iter().zip(&family) {
+            let mut cfg = base.clone();
+            cfg.stages = depth;
+            let deep = FineDelayLine::new(&cfg, 1);
+            // The family stored this depth under characterize's own key…
+            assert_eq!(
+                bytes(&deep.characterize_with(runner, vctrls, intervals)),
+                bytes(tapped),
+                "cached depth {depth} at {threads} threads"
+            );
+            // …and a cold single-depth measurement agrees with it.
+            vardelay_analog::clear_characterization_cache();
+            let single = deep.characterize_with(runner, vctrls, intervals);
+            assert_eq!(bytes(&single), bytes(tapped), "depth {depth}");
+            let build = |v: Voltage| -> Box<dyn AnalogBlock + Send> {
+                let mut fresh = FineDelayLine::new(&cfg, 0);
+                fresh.set_vctrl(v);
+                Box::new(fresh)
+            };
+            let chain = measure_delay_table_with(runner, &build, vctrls, intervals, &cfg.render);
+            assert_eq!(bytes(&chain), bytes(tapped), "chain depth {depth}");
+        }
+    }
+}
+
+/// The ablations characterize their depth family once and then fan out;
+/// serial and 2-thread runs must agree exactly, each from a cold cache.
+#[test]
+fn ablations_are_identical_serial_and_parallel() {
+    let run = |runner: Runner| {
+        vardelay_analog::clear_characterization_cache();
+        (
+            ablation::stage_count_ablation_with(runner, 3, 600),
+            ablation::architecture_comparison_with(runner, 600),
+            ablation::control_strategy_ablation_with(runner),
+        )
+    };
+    let serial = run(Runner::serial());
+    let parallel = run(Runner::new(2));
+    assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
 }
