@@ -14,10 +14,12 @@
 //!    lane answers `overloaded` with a retry hint instead of blocking
 //!    the socket or crowding out other tenants;
 //! 3. a shard worker pops the job (lanes drain deficit-round-robin). A
-//!    `set_delay` lead waits one batch window, drains every queued
-//!    same-tenant same-channel `set_delay` from its own lane, and
-//!    answers the whole batch from one solve on the tenant's
-//!    cache-calibrated bank (last write wins). Handlers run under
+//!    `set_delay` lead waits out what is left of its batch window,
+//!    which counts from admission (a lead that queued a whole window
+//!    waits not at all), drains every queued same-tenant same-channel
+//!    `set_delay` from its own lane, and answers the whole batch from
+//!    one solve on the tenant's cache-calibrated bank (last write
+//!    wins). Handlers run under
 //!    `catch_unwind`: a cooperative [`DeadlineBail`] becomes a
 //!    `deadline_exceeded` response, any other panic (including injected
 //!    [`RequestChaos`] kills) becomes an `internal` response, and the
@@ -112,8 +114,10 @@ pub struct ServeConfig {
     /// Per-tenant lane depth in each shard's fair queue
     /// (`VARDELAY_SERVE_QUEUE`); a full lane answers `overloaded`.
     pub queue_depth: usize,
-    /// Batch coalescing window (`VARDELAY_SERVE_BATCH_US`): how long a
-    /// `set_delay` lead waits for same-channel followers.
+    /// Batch coalescing window (`VARDELAY_SERVE_BATCH_US`): the longest
+    /// a `set_delay` is held for same-channel followers, counted from
+    /// its admission. A lead that already queued this long is solved
+    /// without waiting.
     pub batch_window: Duration,
     /// Worker threads (`VARDELAY_THREADS` via
     /// [`worker_threads_from_env`]), distributed round-robin across the
@@ -1429,19 +1433,25 @@ fn supervise(shared: &Arc<Shared>, job: &Job, f: impl FnOnce(&Job) -> Response) 
     }
 }
 
-/// Lead worker for a `set_delay`: waits one batch window, coalesces
-/// every queued same-tenant same-channel `set_delay` from the lead's
-/// own lane, performs one solve (last write wins), and answers every
-/// waiter.
+/// Lead worker for a `set_delay`: holds the lead until one batch window
+/// after its admission, coalesces every queued same-tenant same-channel
+/// `set_delay` from the lead's own lane, performs one solve (last write
+/// wins), and answers every waiter.
 fn process_set_delay_batch(shared: &Arc<Shared>, lead: Job, channel: usize) {
-    if !shared.batch_window.is_zero() {
-        // Yield-spin rather than sleep: the window is ~100 µs and
-        // `thread::sleep` rounds up to timer granularity (whole
-        // milliseconds on some kernels), which would throttle a lone
-        // worker far below the offered load. Yielding lets the reader
-        // threads run and enqueue the followers this wait exists for.
-        let window_ends = std::time::Instant::now() + shared.batch_window;
-        while std::time::Instant::now() < window_ends {
+    // The window counts from admission, not from the pop: a lead that
+    // already sat in the queue for a whole window has given its
+    // followers their chance and is solved at once, so a saturated
+    // worker does not idle. Only a lead popped inside its window waits,
+    // and only for the rest of it. That rest still yield-spins rather
+    // than sleeps: it is at most one window (100 µs by default), and
+    // `thread::sleep` rounds up to timer granularity (whole milliseconds on some kernels), which
+    // would throttle a lone worker far below the offered load. Yielding
+    // also lets the reader threads run and enqueue the followers this
+    // wait exists for.
+    let wait = shared.batch_window.saturating_sub(lead.deadline.elapsed());
+    if !wait.is_zero() {
+        let window_ends = Instant::now() + wait;
+        while Instant::now() < window_ends {
             std::thread::yield_now();
         }
     }

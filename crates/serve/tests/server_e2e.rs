@@ -3,7 +3,7 @@
 //! acceptance criterion: a killed worker request draws an `internal`
 //! error while the server keeps serving), and graceful drain.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use vardelay_faults::RequestChaos;
 use vardelay_serve::{serve, Client, Envelope, ErrorKind, Request, Response, ServeConfig};
@@ -79,6 +79,131 @@ fn same_channel_set_delays_coalesce_into_one_solve() {
     handle.shutdown();
     let report = handle.join();
     assert_eq!(report.stats.batched, targets.len() as u64 - 1);
+}
+
+/// The batch window counts from admission, not from when a worker pops
+/// the lead. Two pipelined `set_delay`s on different channels form two
+/// batches on a single worker: the first lead waits its whole window,
+/// but the second has already queued for that long and is solved at
+/// once instead of waiting a second full window.
+#[test]
+fn the_batch_window_counts_from_admission() {
+    let window = Duration::from_millis(200);
+    let mut config = ServeConfig::in_process();
+    config.workers = 1;
+    config.batch_window = window;
+    let handle = serve(config).expect("bind");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    // Build the tenant bank first so calibration is not on the clock.
+    let (_, warm) = client
+        .call(&envelope(
+            1,
+            Request::SetDelay {
+                channel: 5,
+                ps: 40.0,
+            },
+        ))
+        .expect("warm-up reply");
+    assert!(matches!(warm, Response::Delay(_)), "{warm:?}");
+
+    let sent = Instant::now();
+    for (id, channel) in [(2, 0), (3, 1)] {
+        client
+            .send_only(&envelope(id, Request::SetDelay { channel, ps: 40.0 }))
+            .expect("send");
+    }
+    let mut arrivals = Vec::new();
+    for _ in 0..2 {
+        let (id, response) = client.read_response().expect("a response");
+        match response {
+            Response::Delay(reply) => assert_eq!(reply.batched, 1, "channels never share a batch"),
+            other => panic!("expected a delay reply, got {other:?}"),
+        }
+        arrivals.push((id.expect("id echoed"), sent.elapsed()));
+    }
+    assert_eq!(
+        arrivals.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
+        [2, 3],
+        "one worker answers its batches in admission order"
+    );
+    // The first lead is popped at once and still waits its full window…
+    assert!(
+        arrivals[0].1 >= window,
+        "first reply after {:?}, inside its {window:?} window",
+        arrivals[0].1
+    );
+    // …while the second used up its window in the queue.
+    assert!(
+        arrivals[1].1 < window * 3 / 2,
+        "second reply after {:?}: its lead waited a fresh window after the pop",
+        arrivals[1].1
+    );
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// A batch whose waiters sit on two connections answers each connection
+/// with exactly its own lines: its own ids and targets, the batch's one
+/// hardware setting, and no line split or interleaved with the other
+/// connection's.
+#[test]
+fn a_batch_spanning_two_connections_answers_each_its_own_lines() {
+    let mut config = ServeConfig::in_process();
+    config.workers = 1;
+    config.batch_window = Duration::from_millis(150);
+    let handle = serve(config).expect("bind");
+    let mut clients = [
+        Client::connect(handle.addr()).expect("connect"),
+        Client::connect(handle.addr()).expect("connect"),
+    ];
+    let sends: [[(u64, f64); 3]; 2] = [
+        [(1, 30.0), (2, 35.0), (3, 40.0)],
+        [(11, 45.0), (12, 50.0), (13, 55.0)],
+    ];
+    // Interleave the two connections' sends so the batch alternates
+    // between them in admission order.
+    for round in 0..3 {
+        for (client, sends) in clients.iter_mut().zip(&sends) {
+            let (id, ps) = sends[round];
+            client
+                .send_only(&envelope(id, Request::SetDelay { channel: 3, ps }))
+                .expect("send");
+        }
+    }
+
+    let total = sends.len() * sends[0].len();
+    let mut setting = None;
+    for (client, sends) in clients.iter_mut().zip(&sends) {
+        for &(want_id, want_ps) in sends {
+            let (id, response) = client.read_response().expect("a whole line");
+            let Response::Delay(reply) = response else {
+                panic!("expected a delay reply, got {response:?}");
+            };
+            assert_eq!(id, Some(want_id), "a line reached the wrong connection");
+            assert_eq!(
+                reply.requested_ps, want_ps,
+                "id {want_id} lost its own target"
+            );
+            assert_eq!(reply.channel, 3);
+            assert_eq!(reply.batched, total, "the window missed a waiter");
+            let shared = (reply.tap, reply.dac_code);
+            assert_eq!(
+                *setting.get_or_insert(shared),
+                shared,
+                "one solve answers all"
+            );
+        }
+        // Nothing else is queued on this connection: the next line is
+        // the answer to the next request.
+        let (id, response) = client.call(&envelope(99, Request::Stats)).expect("stats");
+        assert_eq!(id, Some(99));
+        assert!(matches!(response, Response::Stats(_)), "{response:?}");
+    }
+
+    handle.shutdown();
+    let report = handle.join();
+    assert_eq!(report.stats.batched, total as u64 - 1);
 }
 
 /// Runs the backpressure scenario once (single worker parked in a long
