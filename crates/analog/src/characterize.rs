@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::block::{AnalogBlock, EdgeTransform, TappedCascade};
-use crate::fingerprint::Fingerprint;
+use crate::Fingerprint;
 use vardelay_measure::MeasureDelayError;
 use vardelay_obs as obs;
 use vardelay_runner::Runner;

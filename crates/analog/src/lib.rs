@@ -36,7 +36,6 @@ pub mod crosstalk;
 pub mod ctle;
 pub mod deemphasis;
 pub mod fanout;
-pub mod fingerprint;
 pub mod lossy;
 pub mod mux;
 pub mod noise;
@@ -57,9 +56,9 @@ pub use crosstalk::CrosstalkCoupling;
 pub use ctle::Ctle;
 pub use deemphasis::DeEmphasis;
 pub use fanout::FanoutBuffer;
-pub use fingerprint::Fingerprint;
 pub use lossy::LossyChannel;
 pub use mux::{Mux4, SelectTapError};
 pub use noise::OuNoise;
 pub use tline::TransmissionLine;
+pub use vardelay_obs::Fingerprint;
 pub use vga_buffer::{LimitingBuffer, VgaBuffer, VgaBufferConfig};

@@ -20,7 +20,7 @@
 //! against a [`CombinedDelayCircuit`] driven directly (same config,
 //! same seed, same serial runner) — any divergence sets
 //! `reference_drift` and turns `repro compare backends` red via
-//! [`vardelay_obs::journal::compare_latest_backends`].
+//! the `backends` row of [`vardelay_obs::journal::GATES`].
 //!
 //! Determinism: every per-backend score runs on a serial runner with
 //! seeds derived from [`EXPERIMENT_SEED`]; the campaign fans out only
@@ -226,7 +226,7 @@ impl BackendsReport {
     }
 
     /// The journal record `repro compare backends` gates on via
-    /// [`vardelay_obs::journal::compare_latest_backends`].
+    /// the `backends` row of [`vardelay_obs::journal::GATES`].
     pub fn record(&self, git: &str, unix_ms: u64) -> Value {
         let mut record = Value::obj()
             .with("schema", vardelay_obs::journal::SCHEMA_VERSION)
@@ -486,6 +486,7 @@ fn circuit_matches_reference(seed: u64) -> bool {
 mod tests {
     use super::*;
     use std::sync::Mutex;
+    use vardelay_obs::journal;
 
     /// The kill switch is process-global; tests that flip it must not
     /// interleave.
@@ -546,7 +547,7 @@ mod tests {
             reparsed.get("experiments").and_then(Value::as_str),
             Some("backends")
         );
-        let cmp = vardelay_obs::journal::compare_latest_backends(&[record])
+        let cmp = journal::evaluate(journal::gate("backends").unwrap(), &[record])
             .expect("one record suffices for the absolute gate");
         assert!(!cmp.regressed, "{cmp}");
     }
@@ -560,15 +561,16 @@ mod tests {
         let mut report = backends_campaign_with(&BackendsConfig::default(), Runner::serial());
         report.rows[0].contract_ok = false;
         let red = report.record("deadbeef", 1_700_000_000_000);
-        let cmp = vardelay_obs::journal::compare_latest_backends(&[red]).expect("record compares");
+        let cmp =
+            journal::evaluate(journal::gate("backends").unwrap(), &[red]).expect("record compares");
         assert!(cmp.regressed, "{cmp}");
         assert!(cmp.to_string().contains("REGRESSED"), "{cmp}");
 
         report.rows[0].contract_ok = true;
         report.reference_drift = true;
         let drifted = report.record("deadbeef", 1_700_000_100_000);
-        let cmp =
-            vardelay_obs::journal::compare_latest_backends(&[drifted]).expect("record compares");
+        let cmp = journal::evaluate(journal::gate("backends").unwrap(), &[drifted])
+            .expect("record compares");
         assert!(cmp.regressed, "{cmp}");
     }
 

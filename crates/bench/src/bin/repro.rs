@@ -81,14 +81,14 @@ use vardelay_analog::{characterization_cache_stats, characterization_single_flig
 use vardelay_ate::report::{deskew_summary, deskew_table};
 use vardelay_bench::checkpoint::{checkpoint_dir, Checkpoint, CsvRecord};
 use vardelay_bench::{
-    ablation, artifact, backends_campaign, checkpoint, eyes, faults_campaign, fine_delay,
-    injection, serve_bench, skew, try_output_dir,
+    ablation, backends_campaign, checkpoint, eyes, faults_campaign, fine_delay, injection,
+    serve_bench, skew, try_output_dir,
 };
 use vardelay_measure::report::fmt_ps;
 use vardelay_measure::{Series, Table};
 use vardelay_obs as obs;
-use vardelay_obs::journal;
 use vardelay_obs::json::Value;
+use vardelay_obs::{artifact, journal};
 use vardelay_runner::{Deadline, Runner};
 
 /// The append-only benchmark journal at the repository root (see
@@ -599,11 +599,30 @@ fn write_runtime_record(arg: &str, wall_s: f64, timings: &[(String, f64)], resum
     }
 }
 
-/// `repro compare` — the regression gate: diffs the latest two `all`
-/// records in the journal and fails (exit 1) when the newer wall clock
-/// regressed by more than [`journal::DEFAULT_THRESHOLD`]. Exit 2 when
-/// there are not yet two comparable records.
+/// `repro compare [target]` — the regression gates of
+/// [`journal::GATES`]. With a target, runs that one gate; bare, runs
+/// every gate, requiring only `all` (the others arm themselves once
+/// their records exist). Exit 0 when every verdict is ok, 1 when one
+/// regressed, 2 when a required gate has too few comparable records,
+/// the journal is unreadable, or the target is unknown.
 fn run_compare(target: Option<&str>) -> ! {
+    let gates: Vec<&journal::Gate> = match target {
+        None => journal::GATES.iter().collect(),
+        Some(name) => match journal::gate(name) {
+            Some(gate) => vec![gate],
+            None => {
+                let targets: Vec<String> = journal::GATES
+                    .iter()
+                    .map(|g| format!("{:?}", g.target))
+                    .collect();
+                eprintln!(
+                    "repro compare: unknown target {name:?} (expected one of: {})",
+                    targets.join(", ")
+                );
+                std::process::exit(2);
+            }
+        },
+    };
     let records = match journal::load(Path::new(JOURNAL_PATH)) {
         Ok(r) => r,
         Err(e) => {
@@ -611,215 +630,22 @@ fn run_compare(target: Option<&str>) -> ! {
             std::process::exit(2);
         }
     };
-    match target {
-        None => {
-            // Default gate: the `all` wall clock, plus the serving SLO
-            // whenever the journal holds two serve-bench records. A
-            // journal with fewer serve records is not an error — serving
-            // may simply never have been benchmarked on this checkout.
-            let mut regressed = false;
-            match journal::compare_latest(&records, "all", journal::DEFAULT_THRESHOLD) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    regressed |= cmp.regressed;
-                }
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
+    let mut regressed = false;
+    for gate in gates {
+        match journal::evaluate(gate, &records) {
+            Ok(verdict) => {
+                println!("repro compare: {verdict}");
+                regressed |= verdict.regressed;
             }
-            match journal::compare_latest_serve(&records, journal::SERVE_THRESHOLD) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    regressed |= cmp.regressed;
-                }
-                Err(journal::CompareError::TooFewRecords { .. }) => {}
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-            // The multi-tenant fairness gate arms itself once two
-            // serve-bench-mt records exist.
-            match journal::compare_latest_fairness(
-                &records,
-                journal::SERVE_THRESHOLD,
-                journal::FAIRNESS_THRESHOLD,
-            ) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    regressed |= cmp.regressed;
-                }
-                Err(journal::CompareError::TooFewRecords { .. }) => {}
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-            // The hot-path gate (solve p99, allocations per request)
-            // arms itself once two instrumented `all` records exist;
-            // journals written before the fast path landed (or with
-            // VARDELAY_OBS=0) are simply not gated yet.
-            match journal::compare_latest_hotpath(
-                &records,
-                journal::SOLVE_THRESHOLD,
-                journal::DEFAULT_THRESHOLD,
-            ) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    regressed |= cmp.regressed;
-                }
-                Err(journal::CompareError::TooFewRecords { .. }) => {}
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-            // The self-healing gate arms itself once two soak records
-            // exist.
-            match journal::compare_latest_soak(
-                &records,
-                journal::SOAK_MTTR_THRESHOLD,
-                journal::SOAK_AVAILABILITY_FLOOR,
-            ) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    regressed |= cmp.regressed;
-                }
-                Err(journal::CompareError::TooFewRecords { .. }) => {}
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-            // The durable-restart gate arms itself once two restart
-            // records exist.
-            match journal::compare_latest_restart(&records, journal::RESTART_THRESHOLD) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    regressed |= cmp.regressed;
-                }
-                Err(journal::CompareError::TooFewRecords { .. }) => {}
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-            // The cross-backend contract gate is absolute and arms
-            // itself on the first backends record.
-            match journal::compare_latest_backends(&records) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    regressed |= cmp.regressed;
-                }
-                Err(journal::CompareError::TooFewRecords { .. }) => {}
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-            std::process::exit(i32::from(regressed));
-        }
-        Some("all") => match journal::compare_latest(&records, "all", journal::DEFAULT_THRESHOLD) {
-            Ok(cmp) => {
-                println!("repro compare: {cmp}");
-                std::process::exit(i32::from(cmp.regressed));
-            }
+            Err(journal::CompareError::TooFewRecords { .. })
+                if target.is_none() && gate.target != "all" => {}
             Err(e) => {
                 eprintln!("repro compare: {e}");
                 std::process::exit(2);
             }
-        },
-        Some("serve-bench") => {
-            match journal::compare_latest_serve(&records, journal::SERVE_THRESHOLD) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    std::process::exit(i32::from(cmp.regressed));
-                }
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        Some("fairness") => {
-            match journal::compare_latest_fairness(
-                &records,
-                journal::SERVE_THRESHOLD,
-                journal::FAIRNESS_THRESHOLD,
-            ) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    std::process::exit(i32::from(cmp.regressed));
-                }
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        Some("hotpath") => {
-            match journal::compare_latest_hotpath(
-                &records,
-                journal::SOLVE_THRESHOLD,
-                journal::DEFAULT_THRESHOLD,
-            ) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    std::process::exit(i32::from(cmp.regressed));
-                }
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        Some("soak") => {
-            match journal::compare_latest_soak(
-                &records,
-                journal::SOAK_MTTR_THRESHOLD,
-                journal::SOAK_AVAILABILITY_FLOOR,
-            ) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    std::process::exit(i32::from(cmp.regressed));
-                }
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        Some("restart") => {
-            match journal::compare_latest_restart(&records, journal::RESTART_THRESHOLD) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    std::process::exit(i32::from(cmp.regressed));
-                }
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        Some("backends") => match journal::compare_latest_backends(&records) {
-            Ok(cmp) => {
-                println!("repro compare: {cmp}");
-                std::process::exit(i32::from(cmp.regressed));
-            }
-            Err(e) => {
-                eprintln!("repro compare: {e}");
-                std::process::exit(2);
-            }
-        },
-        Some(other) => {
-            eprintln!(
-                "repro compare: unknown target {other:?} (expected \"all\", \"serve-bench\", \
-                 \"fairness\", \"hotpath\", \"soak\", \"restart\" or \"backends\")"
-            );
-            std::process::exit(2);
         }
     }
+    std::process::exit(i32::from(regressed));
 }
 
 /// `repro serve` — runs the standalone delay-control server until a

@@ -14,7 +14,7 @@
 //! the kill-and-resume chaos gate `cmp`s exactly that.
 //!
 //! Checkpoints live under `target/repro/checkpoints/<experiment>.json`
-//! and are written through [`crate::artifact::write_atomic`], so a crash
+//! and are written through [`vardelay_obs::artifact::write_atomic`], so a crash
 //! mid-checkpoint leaves no checkpoint (the experiment re-runs — safe)
 //! rather than a torn one (which would skip a half-finished experiment —
 //! unsafe).
@@ -23,9 +23,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use vardelay_analog::Fingerprint;
+use vardelay_obs::artifact;
 use vardelay_obs::json::Value;
-
-use crate::artifact;
 
 /// Version stamped into every checkpoint; bumping it invalidates all
 /// existing checkpoints (they simply stop matching).
@@ -202,7 +201,7 @@ mod tests {
         let ck = sample(&out);
         let path = ck.save(&dir).unwrap();
         assert!(path.is_file());
-        assert!(!crate::artifact::tmp_path(&path).exists());
+        assert!(!artifact::tmp_path(&path).exists());
         assert_eq!(Checkpoint::load(&dir, "fig9").unwrap(), ck);
         assert!(Checkpoint::load(&dir, "fig7").is_none(), "missing → None");
         std::fs::remove_dir_all(&out).unwrap();

@@ -15,7 +15,6 @@
 //! paper-vs-measured records.
 
 pub mod ablation;
-pub mod artifact;
 pub mod backends_campaign;
 pub mod checkpoint;
 pub mod extensions;

@@ -21,7 +21,7 @@
 //! snapshot, recalibrate that bank from scratch, and still answer the
 //! fresh script byte-identically. The aggregate lands in a `restart`
 //! journal record gated by `repro compare restart` via
-//! [`vardelay_obs::journal::compare_latest_restart`]: warm must beat
+//! the `restart` row of [`vardelay_obs::journal::GATES`]: warm must beat
 //! cold, at least one bank must restore, nothing may recalibrate on an
 //! intact store, and the warm start must not blow up run-over-run.
 //!
@@ -145,7 +145,7 @@ impl RestartReport {
     }
 
     /// The journal record `repro compare restart` gates on via
-    /// [`vardelay_obs::journal::compare_latest_restart`].
+    /// the `restart` row of [`vardelay_obs::journal::GATES`].
     pub fn record(&self, git: &str, unix_ms: u64) -> Value {
         Value::obj()
             .with("schema", vardelay_obs::journal::SCHEMA_VERSION)
@@ -387,6 +387,7 @@ pub fn run_restart(config: &RestartConfig) -> std::io::Result<RestartReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vardelay_obs::journal::{self, Bound, CompareError, Rule, Verdict};
 
     fn report(warm_start_us: u64, banks_restored: u64, replay_mismatches: u64) -> RestartReport {
         RestartReport {
@@ -406,6 +407,10 @@ mod tests {
         }
     }
 
+    fn gate_restart(records: &[Value]) -> Result<Verdict, CompareError> {
+        journal::evaluate(journal::gate("restart").unwrap(), records)
+    }
+
     #[test]
     fn the_record_round_trips_through_the_restart_gate() {
         let record = report(100_000, 1, 0).record("deadbeef", 1_700_000_000_000);
@@ -415,11 +420,7 @@ mod tests {
             Some("restart")
         );
         let records = vec![record.clone(), record];
-        let cmp = vardelay_obs::journal::compare_latest_restart(
-            &records,
-            vardelay_obs::journal::RESTART_THRESHOLD,
-        )
-        .expect("two identical records compare");
+        let cmp = gate_restart(&records).expect("two identical records compare");
         assert!(!cmp.regressed, "{cmp}");
     }
 
@@ -427,11 +428,7 @@ mod tests {
     fn a_diverging_replay_turns_the_gate_red() {
         let green = report(100_000, 1, 0).record("deadbeef", 1_700_000_000_000);
         let red = report(100_000, 1, 2).record("deadbeef", 1_700_000_100_000);
-        let cmp = vardelay_obs::journal::compare_latest_restart(
-            &[green, red],
-            vardelay_obs::journal::RESTART_THRESHOLD,
-        )
-        .expect("records compare");
+        let cmp = gate_restart(&[green, red]).expect("records compare");
         assert!(cmp.regressed, "{cmp}");
         assert!(cmp.to_string().contains("REGRESSED"), "{cmp}");
     }
@@ -441,14 +438,16 @@ mod tests {
         // Warm no faster than cold means the snapshots bought nothing.
         let green = report(100_000, 1, 0).record("deadbeef", 1_700_000_000_000);
         let red = report(950_000, 1, 0).record("deadbeef", 1_700_000_100_000);
-        let cmp = vardelay_obs::journal::compare_latest_restart(
-            &[green, red],
-            // Growth leg loosened out of the way: the warm<cold leg
-            // must trip on its own.
-            20.0,
-        )
-        .expect("records compare");
+        let cmp = gate_restart(&[green, red]).expect("records compare");
         assert!(cmp.regressed, "{cmp}");
+        // The warm<cold check is the one that fails, whatever the growth
+        // leg says.
+        let below_cold = cmp
+            .rows
+            .iter()
+            .find(|r| matches!(r.check.rule, Rule::Below(Bound::Field("cold_start_us"))))
+            .expect("the restart gate checks warm < cold");
+        assert!(!below_cold.ok, "{cmp}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! Latencies land in a local obs log₂ [`Histogram`]; the resulting
 //! p50/p95/p99 plus throughput and per-kind response counts become a
 //! `serve-bench` journal record, gated by `repro compare` via
-//! [`vardelay_obs::journal::compare_latest_serve`].
+//! the `serve-bench` row of [`vardelay_obs::journal::GATES`].
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -414,7 +414,7 @@ impl MtLoadReport {
     }
 
     /// The journal record `repro compare fairness` gates on via
-    /// [`vardelay_obs::journal::compare_latest_fairness`].
+    /// the `fairness` row of [`vardelay_obs::journal::GATES`].
     pub fn record(&self, git: &str, unix_ms: u64) -> Value {
         let wall_s = self.wall.as_secs_f64().max(1e-9);
         let mut per_tenant = Value::obj();
@@ -642,6 +642,7 @@ impl ResponseCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vardelay_obs::journal;
 
     #[test]
     fn the_mix_is_deterministic_and_mostly_set_delay() {
@@ -692,11 +693,8 @@ mod tests {
             Some("serve-bench")
         );
         let records = vec![record.clone(), record];
-        let cmp = vardelay_obs::journal::compare_latest_serve(
-            &records,
-            vardelay_obs::journal::SERVE_THRESHOLD,
-        )
-        .expect("two identical records compare");
+        let cmp = journal::evaluate(journal::gate("serve-bench").unwrap(), &records)
+            .expect("two identical records compare");
         assert!(!cmp.regressed, "{cmp}");
     }
 
@@ -748,12 +746,8 @@ mod tests {
             "per-tenant throughput must be in the record"
         );
         let records = vec![record.clone(), record];
-        let cmp = vardelay_obs::journal::compare_latest_fairness(
-            &records,
-            vardelay_obs::journal::SERVE_THRESHOLD,
-            vardelay_obs::journal::FAIRNESS_THRESHOLD,
-        )
-        .expect("two identical records compare");
+        let cmp = journal::evaluate(journal::gate("fairness").unwrap(), &records)
+            .expect("two identical records compare");
         assert!(!cmp.regressed, "{cmp}");
     }
 
@@ -765,12 +759,8 @@ mod tests {
         let injected = starved.record("deadbeef", 1_700_000_100_000);
         assert_eq!(injected.get("hot_tenant").and_then(Value::as_u64), Some(0));
         let records = vec![baseline, injected];
-        let cmp = vardelay_obs::journal::compare_latest_fairness(
-            &records,
-            vardelay_obs::journal::SERVE_THRESHOLD,
-            vardelay_obs::journal::FAIRNESS_THRESHOLD,
-        )
-        .expect("records compare");
+        let cmp = journal::evaluate(journal::gate("fairness").unwrap(), &records)
+            .expect("records compare");
         assert!(cmp.regressed, "fairness 9.7 must trip the 2.0 gate: {cmp}");
         assert!(cmp.to_string().contains("REGRESSED"), "{cmp}");
     }

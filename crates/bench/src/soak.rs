@@ -9,7 +9,7 @@
 //! **MTTR** (drift injected → the channel is back to `Healthy` and the
 //! unhealthy count is zero again). The aggregate lands in a `soak`
 //! journal record gated by `repro compare soak` via
-//! [`vardelay_obs::journal::compare_latest_soak`]: availability on the
+//! the `soak` row of [`vardelay_obs::journal::GATES`]: availability on the
 //! never-drifted channels must hold the floor, every incident must heal,
 //! and the p99 MTTR must not blow up run-over-run.
 //!
@@ -172,7 +172,7 @@ impl SoakReport {
     }
 
     /// The journal record `repro compare soak` gates on via
-    /// [`vardelay_obs::journal::compare_latest_soak`].
+    /// the `soak` row of [`vardelay_obs::journal::GATES`].
     pub fn record(&self, git: &str, unix_ms: u64) -> Value {
         Value::obj()
             .with("schema", vardelay_obs::journal::SCHEMA_VERSION)
@@ -458,6 +458,7 @@ pub fn run_soak(config: &SoakConfig) -> std::io::Result<SoakReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vardelay_obs::journal;
 
     fn report(mttr_p99_us: u64, availability: f64, unhealed: u64) -> SoakReport {
         SoakReport {
@@ -492,12 +493,8 @@ mod tests {
             Some("soak")
         );
         let records = vec![record.clone(), record];
-        let cmp = vardelay_obs::journal::compare_latest_soak(
-            &records,
-            vardelay_obs::journal::SOAK_MTTR_THRESHOLD,
-            vardelay_obs::journal::SOAK_AVAILABILITY_FLOOR,
-        )
-        .expect("two identical records compare");
+        let cmp = journal::evaluate(journal::gate("soak").unwrap(), &records)
+            .expect("two identical records compare");
         assert!(!cmp.regressed, "{cmp}");
     }
 
@@ -511,12 +508,8 @@ mod tests {
         sabotaged.recalibrations = 0;
         sabotaged.mttr_p50_us = 0;
         let records = vec![green, sabotaged.record("deadbeef", 1_700_000_100_000)];
-        let cmp = vardelay_obs::journal::compare_latest_soak(
-            &records,
-            vardelay_obs::journal::SOAK_MTTR_THRESHOLD,
-            vardelay_obs::journal::SOAK_AVAILABILITY_FLOOR,
-        )
-        .expect("records compare");
+        let cmp =
+            journal::evaluate(journal::gate("soak").unwrap(), &records).expect("records compare");
         assert!(cmp.regressed, "{cmp}");
         assert!(cmp.to_string().contains("REGRESSED"), "{cmp}");
     }

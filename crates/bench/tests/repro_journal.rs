@@ -207,3 +207,98 @@ fn compare_reports_too_few_records_after_filtering() {
         "one clear diagnostic line, got: {stderr}"
     );
 }
+
+/// The newest record of a two-record journal that arms `target`'s gate:
+/// green passes every check, red fails one.
+fn gate_record(target: &str, red: bool) -> Value {
+    let base = |kind: &str, threads: u64| {
+        Value::obj()
+            .with("schema", journal::SCHEMA_VERSION)
+            .with("experiments", kind)
+            .with("threads", threads)
+    };
+    let pick = |green: f64, bad: f64| if red { bad } else { green };
+    match target {
+        "all" => base("all", 1).with("wall_s", pick(6.5, 7.5)),
+        "serve-bench" => base("serve-bench", 4)
+            .with("p99_us", pick(400.0, 1700.0))
+            .with("throughput_rps", 5000.0),
+        "fairness" => base("serve-bench-mt", 4)
+            .with("tenants", 16u64)
+            .with("p999_us", 2000.0)
+            .with("fairness_ratio", pick(1.1, 9.7)),
+        "hotpath" => base("all", 1)
+            .with("wall_s", 6.5)
+            .with("csv_points", 172u64)
+            .with("solve_p99_us", 4000.0)
+            .with("allocs_per_request", pick(9.5, 10.6)),
+        "soak" => base("soak", 2)
+            .with("incidents", 4u64)
+            .with("unhealed", pick(0.0, 1.0))
+            .with("mttr_p99_us", 100_000.0)
+            .with("availability", 1.0),
+        "restart" => base("restart", 2)
+            .with("cold_start_us", 900_000.0)
+            .with("warm_start_us", 100_000.0)
+            .with("banks_restored", 1u64)
+            .with("banks_recalibrated", 0u64)
+            .with("wal_records_replayed", 12u64)
+            .with("replay_mismatches", pick(0.0, 3.0)),
+        "backends" => base("backends", 2)
+            .with("contract_violations", pick(0.0, 1.0))
+            .with("reference_drift", false)
+            .with("faults_detected", 3u64)
+            .with("faults_expected", 3u64),
+        other => panic!("no fixture for gate {other:?}"),
+    }
+}
+
+#[test]
+fn every_compare_target_dispatches_through_the_binary() {
+    assert_eq!(journal::GATES.len(), 7, "one fixture per gate below");
+    for gate in journal::GATES {
+        let target = gate.target;
+        for (red, want) in [(false, 0), (true, 1)] {
+            let scratch = Scratch::new(&format!("dispatch_{target}_{red}"));
+            let path = scratch.journal_path();
+            journal::append(&path, &gate_record(target, false)).unwrap();
+            journal::append(&path, &gate_record(target, red)).unwrap();
+            let out = scratch.repro_env(&["compare", target], &[]);
+            assert_eq!(
+                out.status.code(),
+                Some(want),
+                "compare {target} red={red}: {}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
+        let empty = Scratch::new(&format!("dispatch_{target}_empty"));
+        assert_eq!(
+            empty.repro_env(&["compare", target], &[]).status.code(),
+            Some(2),
+            "compare {target} on an empty journal"
+        );
+    }
+}
+
+#[test]
+fn bare_compare_runs_only_the_armed_gates() {
+    let scratch = Scratch::new("bare_armed");
+    journal::append(&scratch.journal_path(), &seeded_all_record(6.5)).unwrap();
+    journal::append(&scratch.journal_path(), &seeded_all_record(6.6)).unwrap();
+    let out = scratch.repro_env(&["compare"], &[]);
+    assert_eq!(out.status.code(), Some(0), "unarmed gates are skipped");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.lines().count(), 1, "only the all verdict: {stdout}");
+    assert!(stdout.contains("all: wall_s 6.5 -> 6.6"), "{stdout}");
+}
+
+#[test]
+fn an_unknown_compare_target_lists_every_target() {
+    let scratch = Scratch::new("compare_unknown");
+    let out = scratch.repro_env(&["compare", "bogus"], &[]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for gate in journal::GATES {
+        assert!(stderr.contains(&format!("{:?}", gate.target)), "{stderr}");
+    }
+}

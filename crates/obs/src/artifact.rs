@@ -12,26 +12,17 @@
 //! next run sweeps away ([`sweep_stale_tmp`]) — never a torn artifact
 //! under the real name.
 //!
-//! [`digest`] is the FNV-1a content hash checkpoints and snapshots use
-//! to prove a file on disk is exactly the one that was written. It is
-//! byte-for-byte the same function `vardelay_analog::Fingerprint`
-//! computes for a single `push_str` (length-prefixed fold), so digests
-//! recorded by older checkpoints stay valid — but it lives here, at the
+//! [`digest`] is the content hash checkpoints and snapshots use to
+//! prove a file on disk is exactly the one that was written: a single
+//! [`Fingerprint::push_str`] (length-prefixed FNV-1a fold), so digests
+//! recorded by older checkpoints stay valid. It lives here, at the
 //! bottom of the crate graph, so `vardelay-serve` can use it without
 //! dragging in the analog stack.
-//!
-//! These helpers lived in `vardelay-bench::artifact` through PR 8; they
-//! moved here (re-exported from bench, so call sites are unchanged)
-//! once the serving layer's durability subsystem needed them too.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// FNV-1a 64-bit offset basis (the hash family used across the
-/// workspace for cache keys, checkpoints, and snapshot digests).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use crate::Fingerprint;
 
 /// The sibling temporary path [`write_atomic`] stages into
 /// (`fig07.csv` → `fig07.csv.tmp`).
@@ -72,19 +63,11 @@ pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
 }
 
 /// FNV-1a digest of an artifact's contents — the proof that a file on
-/// disk is byte-identical to the one recorded. Identical to folding the
-/// same string through `vardelay_analog::Fingerprint::push_str` (the
-/// length is folded first, then the raw bytes), so checkpoint digests
-/// written before this function moved crates still verify.
+/// disk is byte-identical to the one recorded: the contents folded
+/// through [`Fingerprint::push_str`] (the length first, then the raw
+/// bytes).
 pub fn digest(contents: &str) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in (contents.len() as u64).to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    for &b in contents.as_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
+    Fingerprint::new().push_str(contents).finish()
 }
 
 /// Removes every `*.tmp` file under `dir` (recursively), returning how
@@ -174,8 +157,9 @@ mod tests {
     #[test]
     fn digest_matches_the_historical_fingerprint_fold() {
         // Hand-folded FNV-1a of push_usize(len) ++ bytes for "abc":
-        // checkpoints written by PR 4 used vardelay_analog::Fingerprint,
-        // and must still verify against this implementation.
+        // checkpoints on disk hold digests of exactly this fold, and
+        // must still verify against this implementation.
+        use crate::fingerprint::{FNV_OFFSET, FNV_PRIME};
         let mut h = FNV_OFFSET;
         for b in 3u64.to_le_bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);

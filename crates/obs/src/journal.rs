@@ -21,11 +21,11 @@
 //! spanning the whole file) so a pre-journal `BENCH_repro.json` reads as
 //! a one-record journal.
 //!
-//! The gate: [`compare_latest`] takes the latest two records of the same
-//! experiment set (same thread count — wall clock across different
-//! widths is not comparable) and flags a regression when the newer wall
-//! clock exceeds the older by more than the threshold. `repro compare`
-//! wires this to CI.
+//! The gates: [`GATES`] is a table with one row per `repro compare`
+//! target — the record kind it reads, a pairing rule (latest two records
+//! at equal thread counts, or the newest alone) and a list of checks
+//! (growth, shrink, at-most, at-least, below, is-false). One [`evaluate`]
+//! runs any row, and one [`Verdict`] renders every result.
 
 use std::fmt;
 use std::fs::OpenOptions;
@@ -305,74 +305,45 @@ pub fn load(path: &Path) -> Result<Vec<Value>, JournalError> {
     Ok(records)
 }
 
-/// The latest-two-records wall-clock comparison `repro compare` prints
-/// and gates on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Comparison {
-    /// `experiments` key both records share.
-    pub experiments: String,
-    /// Thread count both records share.
-    pub threads: u64,
-    /// Wall clock of the older record (seconds).
-    pub older_wall_s: f64,
-    /// Wall clock of the newer record (seconds).
-    pub newer_wall_s: f64,
-    /// `newer / older` (∞ when the older wall clock is 0).
-    pub ratio: f64,
-    /// The gate threshold the comparison was made against.
-    pub threshold: f64,
-    /// Whether the newer run exceeds the older by more than `threshold`.
-    pub regressed: bool,
-}
-
-impl fmt::Display for Comparison {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {:.3} s -> {:.3} s ({:+.1} % on {} thread(s); gate \u{00b1}{:.0} %): {}",
-            self.experiments,
-            self.older_wall_s,
-            self.newer_wall_s,
-            (self.ratio - 1.0) * 100.0,
-            self.threads,
-            self.threshold * 100.0,
-            if self.regressed { "REGRESSED" } else { "ok" }
-        )
-    }
-}
-
-/// Why two comparable records could not be found.
+/// Why a gate could not judge the journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompareError {
-    /// Fewer than two *valid* records match the experiment set
-    /// (zero-point records — `csv_points: 0`, e.g. a skipped campaign —
-    /// are not valid comparison baselines and are filtered out first).
+    /// Fewer eligible records than the gate's pairing needs.
     TooFewRecords {
-        /// Valid matching records found.
+        /// Eligible records found.
         found: usize,
-        /// The experiment set looked for.
+        /// The `experiments` kind looked for.
         experiments: String,
     },
-    /// The latest two matching records ran at different thread counts, so
-    /// their wall clocks are not comparable.
+    /// The paired records ran at different thread counts.
     ThreadMismatch {
         /// Older record's thread count.
         older: u64,
         /// Newer record's thread count.
         newer: u64,
     },
-    /// A matching record is missing a required numeric field.
+    /// A judged record lacks a required field (or has the wrong type).
     MissingField(&'static str),
 }
 
 impl fmt::Display for CompareError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CompareError::TooFewRecords { found, experiments } => write!(
-                f,
-                "need two valid {experiments:?} journal records to compare, found {found} \
-                 after ignoring zero-point and resumed records (run `repro {experiments}` twice)"
-            ),
+            CompareError::TooFewRecords { found, experiments } => {
+                let gate = GATES.iter().find(|g| g.kind == experiments);
+                let run = gate.map_or(experiments.as_str(), |g| g.run);
+                let newest = gate.is_some_and(|g| g.pairing == Newest);
+                let (need, times) = if newest {
+                    ("one", "once")
+                } else {
+                    ("two", "twice")
+                };
+                write!(
+                    f,
+                    "need {need} valid {experiments:?} journal record(s) to compare, found \
+                     {found} after ignoring zero-point and resumed records (run `repro {run}` {times})"
+                )
+            }
             CompareError::ThreadMismatch { older, newer } => write!(
                 f,
                 "latest runs used different thread counts ({older} vs {newer}); \
@@ -387,846 +358,342 @@ impl fmt::Display for CompareError {
 
 impl std::error::Error for CompareError {}
 
-/// Whether a record carries real measurement work. A record whose
-/// `csv_points` is present and zero (a skipped campaign, e.g.
-/// `VARDELAY_FAULTS=0`, or a fully-checkpointed `--resume` run) measures
-/// nothing and must not become a comparison baseline — its near-zero
-/// wall clock would flag every honest successor as a regression. Records
-/// *without* a `csv_points` field (legacy) are kept.
+/// Whether a record measured nothing (`csv_points: 0` — a skipped
+/// campaign or a fully-checkpointed `--resume` run): its near-zero wall
+/// clock must never become a baseline. Legacy records without
+/// `csv_points` are kept.
 pub fn is_zero_point(record: &Value) -> bool {
     record.get("csv_points").and_then(Value::as_u64) == Some(0)
 }
 
-/// Whether a record came from a `--resume` run that skipped
-/// checkpointed experiments (`resumed: true`). Its wall clock covers
-/// only the re-run remainder of the campaign, so it cannot serve as a
-/// baseline for full runs.
+/// Whether a record came from a `--resume` run (`resumed: true`), whose
+/// wall clock covers only the re-run remainder of the campaign.
 pub fn is_resumed(record: &Value) -> bool {
     record.get("resumed").and_then(Value::as_bool) == Some(true)
 }
 
-/// Compares the latest two records whose `experiments` field equals
-/// `experiments`, flagging a regression when the newer wall clock
-/// exceeds the older by more than `threshold` (fractional, e.g. `0.10`).
-/// Zero-point and partially-resumed records (see [`is_zero_point`],
-/// [`is_resumed`]) are ignored — neither measures a full campaign.
-///
-/// # Errors
-///
-/// See [`CompareError`] — fewer than two valid matching records, a
-/// thread-count mismatch between them, or records without
-/// `wall_s`/`threads`.
-pub fn compare_latest(
-    records: &[Value],
-    experiments: &str,
-    threshold: f64,
-) -> Result<Comparison, CompareError> {
-    let matching: Vec<&Value> = records
-        .iter()
-        .filter(|r| r.get("experiments").and_then(Value::as_str) == Some(experiments))
-        .filter(|r| !is_zero_point(r) && !is_resumed(r))
-        .collect();
-    let [.., older, newer] = matching.as_slice() else {
-        return Err(CompareError::TooFewRecords {
-            found: matching.len(),
-            experiments: experiments.to_owned(),
-        });
-    };
-    let threads = |r: &Value| {
-        r.get("threads")
-            .and_then(Value::as_u64)
-            .ok_or(CompareError::MissingField("threads"))
-    };
-    let wall = |r: &Value| {
-        r.get("wall_s")
-            .and_then(Value::as_f64)
-            .ok_or(CompareError::MissingField("wall_s"))
-    };
-    let (older_threads, newer_threads) = (threads(older)?, threads(newer)?);
-    if older_threads != newer_threads {
-        return Err(CompareError::ThreadMismatch {
-            older: older_threads,
-            newer: newer_threads,
-        });
-    }
-    let (older_wall_s, newer_wall_s) = (wall(older)?, wall(newer)?);
-    let ratio = if older_wall_s > 0.0 {
-        newer_wall_s / older_wall_s
-    } else if newer_wall_s > 0.0 {
-        f64::INFINITY
-    } else {
-        1.0
-    };
-    Ok(Comparison {
-        experiments: experiments.to_owned(),
-        threads: newer_threads,
-        older_wall_s,
-        newer_wall_s,
-        ratio,
-        threshold,
-        regressed: ratio > 1.0 + threshold,
-    })
-}
+// The latency thresholds are fractional growth bounds, deliberately loose
+// (`3.0` trips only past 4×): the p99s come from log₂-bucketed histograms
+// whose adjacent values differ by 2×, so tight bounds would flap.
 
-/// Default threshold for the serving-SLO gate, as a fractional growth
-/// bound on tail latency. Deliberately far looser than
-/// [`DEFAULT_THRESHOLD`]: the p99 comes from a log₂-bucketed histogram
-/// whose adjacent representable values differ by 2×, so a tight gate
-/// would flap on bucket-boundary noise. `3.0` (ratio > 4×) only trips
-/// on a real serving-path regression.
+/// Serving p99 / fairness p99.9 growth and throughput-collapse bound.
 pub const SERVE_THRESHOLD: f64 = 3.0;
-
-/// The latest-two-records serving comparison `repro compare` gates on:
-/// p99 latency growth and throughput collapse.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeComparison {
-    /// Worker count both records share.
-    pub threads: u64,
-    /// p99 latency of the older record, microseconds.
-    pub older_p99_us: f64,
-    /// p99 latency of the newer record, microseconds.
-    pub newer_p99_us: f64,
-    /// Throughput of the older record, requests per second.
-    pub older_rps: f64,
-    /// Throughput of the newer record, requests per second.
-    pub newer_rps: f64,
-    /// `newer_p99 / older_p99` (∞ when the older p99 is 0 and the
-    /// newer is not).
-    pub p99_ratio: f64,
-    /// The gate threshold the comparison was made against.
-    pub threshold: f64,
-    /// Whether the newer run's p99 grew past the threshold or its
-    /// throughput fell below `older / (1 + threshold)`.
-    pub regressed: bool,
-}
-
-impl fmt::Display for ServeComparison {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "serve-bench: p99 {:.0} \u{00b5}s -> {:.0} \u{00b5}s, {:.0} -> {:.0} req/s \
-             ({} worker(s); gate {:.0}\u{00d7}): {}",
-            self.older_p99_us,
-            self.newer_p99_us,
-            self.older_rps,
-            self.newer_rps,
-            self.threads,
-            1.0 + self.threshold,
-            if self.regressed { "REGRESSED" } else { "ok" }
-        )
-    }
-}
-
-/// Compares the latest two `serve-bench` records (the journal kind
-/// written by `repro serve-bench`), flagging a regression when the
-/// newer p99 latency exceeds the older by more than `threshold`
-/// (fractional — see [`SERVE_THRESHOLD`] for why it is loose) **or**
-/// the newer throughput falls below `older / (1 + threshold)`.
-///
-/// # Errors
-///
-/// Same shapes as [`compare_latest`]: [`CompareError::TooFewRecords`]
-/// under two `serve-bench` records, [`CompareError::ThreadMismatch`]
-/// when their worker counts differ, [`CompareError::MissingField`] on
-/// records without `p99_us`/`throughput_rps`/`threads`.
-pub fn compare_latest_serve(
-    records: &[Value],
-    threshold: f64,
-) -> Result<ServeComparison, CompareError> {
-    let matching: Vec<&Value> = records
-        .iter()
-        .filter(|r| r.get("experiments").and_then(Value::as_str) == Some("serve-bench"))
-        .collect();
-    let [.., older, newer] = matching.as_slice() else {
-        return Err(CompareError::TooFewRecords {
-            found: matching.len(),
-            experiments: "serve-bench".to_owned(),
-        });
-    };
-    let threads = |r: &Value| {
-        r.get("threads")
-            .and_then(Value::as_u64)
-            .ok_or(CompareError::MissingField("threads"))
-    };
-    let p99 = |r: &Value| {
-        r.get("p99_us")
-            .and_then(Value::as_f64)
-            .ok_or(CompareError::MissingField("p99_us"))
-    };
-    let rps = |r: &Value| {
-        r.get("throughput_rps")
-            .and_then(Value::as_f64)
-            .ok_or(CompareError::MissingField("throughput_rps"))
-    };
-    let (older_threads, newer_threads) = (threads(older)?, threads(newer)?);
-    if older_threads != newer_threads {
-        return Err(CompareError::ThreadMismatch {
-            older: older_threads,
-            newer: newer_threads,
-        });
-    }
-    let (older_p99_us, newer_p99_us) = (p99(older)?, p99(newer)?);
-    let (older_rps, newer_rps) = (rps(older)?, rps(newer)?);
-    let p99_ratio = if older_p99_us > 0.0 {
-        newer_p99_us / older_p99_us
-    } else if newer_p99_us > 0.0 {
-        f64::INFINITY
-    } else {
-        1.0
-    };
-    let throughput_collapsed = older_rps > 0.0 && newer_rps < older_rps / (1.0 + threshold);
-    Ok(ServeComparison {
-        threads: newer_threads,
-        older_p99_us,
-        newer_p99_us,
-        older_rps,
-        newer_rps,
-        p99_ratio,
-        threshold,
-        regressed: p99_ratio > 1.0 + threshold || throughput_collapsed,
-    })
-}
-
-/// Max/min per-tenant throughput ratio the multi-tenant fairness gate
-/// tolerates. Under the seeded *balanced* load every tenant offers the
-/// same request volume, so an honest scheduler completes them within a
-/// small factor of each other; `2.0` leaves room for scheduling noise
-/// while still tripping on a starved tenant (a 10× hot-tenant injection
-/// lands near 10).
+/// Max/min per-tenant throughput ratio (a 10× hot tenant lands near 10).
 pub const FAIRNESS_THRESHOLD: f64 = 2.0;
-
-/// The latest-two-records multi-tenant comparison: tail-latency growth
-/// between runs plus the newest run's max/min per-tenant fairness
-/// ratio.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FairnessComparison {
-    /// Worker count both records share.
-    pub threads: u64,
-    /// Tenants in the newer campaign.
-    pub tenants: u64,
-    /// p99.9 latency of the older record, microseconds.
-    pub older_p999_us: f64,
-    /// p99.9 latency of the newer record, microseconds.
-    pub newer_p999_us: f64,
-    /// The newer record's max/min per-tenant throughput ratio.
-    pub newer_fairness: f64,
-    /// `newer_p999 / older_p999` (∞ when the older is 0 and the newer
-    /// is not).
-    pub p999_ratio: f64,
-    /// Tail-latency growth bound (fractional, like [`SERVE_THRESHOLD`]).
-    pub latency_threshold: f64,
-    /// Absolute fairness-ratio bound (see [`FAIRNESS_THRESHOLD`]).
-    pub fairness_threshold: f64,
-    /// Whether the newer run's p99.9 grew past the latency threshold or
-    /// its fairness ratio exceeded the fairness threshold.
-    pub regressed: bool,
-}
-
-impl fmt::Display for FairnessComparison {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "serve-bench-mt: p99.9 {:.0} \u{00b5}s -> {:.0} \u{00b5}s, fairness {:.2} \
-             ({} tenant(s), {} worker(s); gates {:.0}\u{00d7} latency, \u{2264}{:.1} fairness): {}",
-            self.older_p999_us,
-            self.newer_p999_us,
-            self.newer_fairness,
-            self.tenants,
-            self.threads,
-            1.0 + self.latency_threshold,
-            self.fairness_threshold,
-            if self.regressed { "REGRESSED" } else { "ok" }
-        )
-    }
-}
-
-/// Compares the latest two `serve-bench-mt` records (the journal kind
-/// written by `repro serve-bench mt`), flagging a regression when the
-/// newer p99.9 latency exceeds the older by more than
-/// `latency_threshold` (fractional, loose for the same log₂-histogram
-/// reason as [`SERVE_THRESHOLD`]) **or** the newer record's max/min
-/// per-tenant throughput ratio exceeds `fairness_threshold` (absolute —
-/// fairness is a property of a single run, not a run-to-run delta, so a
-/// starved-tenant injection trips the gate immediately rather than
-/// poisoning the next baseline).
-///
-/// # Errors
-///
-/// Same shapes as [`compare_latest`]: [`CompareError::TooFewRecords`]
-/// under two `serve-bench-mt` records, [`CompareError::ThreadMismatch`]
-/// when their worker counts differ, [`CompareError::MissingField`] on
-/// records without `p999_us`/`fairness_ratio`/`tenants`/`threads`.
-pub fn compare_latest_fairness(
-    records: &[Value],
-    latency_threshold: f64,
-    fairness_threshold: f64,
-) -> Result<FairnessComparison, CompareError> {
-    let matching: Vec<&Value> = records
-        .iter()
-        .filter(|r| r.get("experiments").and_then(Value::as_str) == Some("serve-bench-mt"))
-        .collect();
-    let [.., older, newer] = matching.as_slice() else {
-        return Err(CompareError::TooFewRecords {
-            found: matching.len(),
-            experiments: "serve-bench-mt".to_owned(),
-        });
-    };
-    let threads = |r: &Value| {
-        r.get("threads")
-            .and_then(Value::as_u64)
-            .ok_or(CompareError::MissingField("threads"))
-    };
-    let p999 = |r: &Value| {
-        r.get("p999_us")
-            .and_then(Value::as_f64)
-            .ok_or(CompareError::MissingField("p999_us"))
-    };
-    let (older_threads, newer_threads) = (threads(older)?, threads(newer)?);
-    if older_threads != newer_threads {
-        return Err(CompareError::ThreadMismatch {
-            older: older_threads,
-            newer: newer_threads,
-        });
-    }
-    let (older_p999_us, newer_p999_us) = (p999(older)?, p999(newer)?);
-    let newer_fairness = newer
-        .get("fairness_ratio")
-        .and_then(Value::as_f64)
-        .ok_or(CompareError::MissingField("fairness_ratio"))?;
-    let tenants = newer
-        .get("tenants")
-        .and_then(Value::as_u64)
-        .ok_or(CompareError::MissingField("tenants"))?;
-    let p999_ratio = if older_p999_us > 0.0 {
-        newer_p999_us / older_p999_us
-    } else if newer_p999_us > 0.0 {
-        f64::INFINITY
-    } else {
-        1.0
-    };
-    Ok(FairnessComparison {
-        threads: newer_threads,
-        tenants,
-        older_p999_us,
-        newer_p999_us,
-        newer_fairness,
-        p999_ratio,
-        latency_threshold,
-        fairness_threshold,
-        regressed: p999_ratio > 1.0 + latency_threshold || newer_fairness > fairness_threshold,
-    })
-}
-
-/// Availability floor for the chaos-soak gate: the fraction of healthy-
-/// channel requests answered `ok` during a soak must stay at or above
-/// this. Absolute, judged on the newest run alone — an outage cannot
-/// hide behind a calm older baseline.
+/// Healthy-channel availability floor for the chaos-soak gate.
 pub const SOAK_AVAILABILITY_FLOOR: f64 = 0.99;
-
-/// Run-over-run MTTR growth bound for the chaos-soak gate (fractional,
-/// like [`SERVE_THRESHOLD`]): only a >4× blowup of the p99 time-to-
-/// recover trips it. Loose on purpose — recovery time is quantized by
-/// the sentinel period and the re-admission round count, so small-
-/// multiple noise between runs is expected.
+/// Soak p99 MTTR growth bound.
 pub const SOAK_MTTR_THRESHOLD: f64 = 3.0;
-
-/// The latest-two-records chaos-soak comparison: the newest run's
-/// absolute health (availability, unhealed incidents) plus run-over-run
-/// MTTR growth.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SoakComparison {
-    /// Worker count both records share.
-    pub threads: u64,
-    /// Drift incidents injected in the newer campaign.
-    pub incidents: u64,
-    /// Incidents of the newer campaign never healed by soak end.
-    pub unhealed: u64,
-    /// p99 mean-time-to-recover of the older record, microseconds.
-    pub older_mttr_p99_us: f64,
-    /// p99 mean-time-to-recover of the newer record, microseconds.
-    pub newer_mttr_p99_us: f64,
-    /// Healthy-channel availability of the newer record (0..=1).
-    pub newer_availability: f64,
-    /// `newer_mttr_p99 / older_mttr_p99` (∞ when the older is 0 and
-    /// the newer is not).
-    pub mttr_ratio: f64,
-    /// MTTR growth bound (fractional — see [`SOAK_MTTR_THRESHOLD`]).
-    pub mttr_threshold: f64,
-    /// Absolute availability floor (see [`SOAK_AVAILABILITY_FLOOR`]).
-    pub availability_floor: f64,
-    /// Whether the newest soak dropped below the availability floor,
-    /// left an incident unhealed, or grew MTTR past the threshold.
-    pub regressed: bool,
-}
-
-impl fmt::Display for SoakComparison {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "soak: mttr p99 {:.0} \u{00b5}s -> {:.0} \u{00b5}s, availability {:.4}, \
-             {}/{} incident(s) unhealed ({} worker(s); gates {:.0}\u{00d7} mttr, \
-             \u{2265}{:.2} availability, 0 unhealed): {}",
-            self.older_mttr_p99_us,
-            self.newer_mttr_p99_us,
-            self.newer_availability,
-            self.unhealed,
-            self.incidents,
-            self.threads,
-            1.0 + self.mttr_threshold,
-            self.availability_floor,
-            if self.regressed { "REGRESSED" } else { "ok" }
-        )
-    }
-}
-
-/// Compares the latest two `soak` records (the journal kind written by
-/// `repro soak`), flagging a regression when the newest run's healthy-
-/// channel availability falls below `availability_floor`, when any
-/// injected incident was never healed (the deterministic red leg: with
-/// recalibration sabotaged, every incident stays unhealed), or when the
-/// newer p99 MTTR exceeds the older by more than `mttr_threshold`
-/// (fractional). Availability and unhealed-count are absolute gates on
-/// the newest run alone, for the same reason the fairness ratio is — a
-/// broken healing loop must trip the gate immediately, not poison the
-/// next baseline.
-///
-/// # Errors
-///
-/// Same shapes as [`compare_latest`]: [`CompareError::TooFewRecords`]
-/// under two `soak` records, [`CompareError::ThreadMismatch`] when
-/// their worker counts differ, [`CompareError::MissingField`] on
-/// records without `mttr_p99_us`/`availability`/`incidents`/`unhealed`.
-pub fn compare_latest_soak(
-    records: &[Value],
-    mttr_threshold: f64,
-    availability_floor: f64,
-) -> Result<SoakComparison, CompareError> {
-    let matching: Vec<&Value> = records
-        .iter()
-        .filter(|r| r.get("experiments").and_then(Value::as_str) == Some("soak"))
-        .collect();
-    let [.., older, newer] = matching.as_slice() else {
-        return Err(CompareError::TooFewRecords {
-            found: matching.len(),
-            experiments: "soak".to_owned(),
-        });
-    };
-    let threads = |r: &Value| {
-        r.get("threads")
-            .and_then(Value::as_u64)
-            .ok_or(CompareError::MissingField("threads"))
-    };
-    let mttr = |r: &Value| {
-        r.get("mttr_p99_us")
-            .and_then(Value::as_f64)
-            .ok_or(CompareError::MissingField("mttr_p99_us"))
-    };
-    let (older_threads, newer_threads) = (threads(older)?, threads(newer)?);
-    if older_threads != newer_threads {
-        return Err(CompareError::ThreadMismatch {
-            older: older_threads,
-            newer: newer_threads,
-        });
-    }
-    let (older_mttr_p99_us, newer_mttr_p99_us) = (mttr(older)?, mttr(newer)?);
-    let newer_availability = newer
-        .get("availability")
-        .and_then(Value::as_f64)
-        .ok_or(CompareError::MissingField("availability"))?;
-    let incidents = newer
-        .get("incidents")
-        .and_then(Value::as_u64)
-        .ok_or(CompareError::MissingField("incidents"))?;
-    let unhealed = newer
-        .get("unhealed")
-        .and_then(Value::as_u64)
-        .ok_or(CompareError::MissingField("unhealed"))?;
-    let mttr_ratio = if older_mttr_p99_us > 0.0 {
-        newer_mttr_p99_us / older_mttr_p99_us
-    } else if newer_mttr_p99_us > 0.0 {
-        f64::INFINITY
-    } else {
-        1.0
-    };
-    Ok(SoakComparison {
-        threads: newer_threads,
-        incidents,
-        unhealed,
-        older_mttr_p99_us,
-        newer_mttr_p99_us,
-        newer_availability,
-        mttr_ratio,
-        mttr_threshold,
-        availability_floor,
-        regressed: newer_availability < availability_floor
-            || unhealed > 0
-            || mttr_ratio > 1.0 + mttr_threshold,
-    })
-}
-
-/// Default threshold for the hot-path solve-latency leg of the gate.
-/// Like [`SERVE_THRESHOLD`], deliberately loose: `solve_p99_us` comes
-/// from the log₂-bucketed `core.solve_us` histogram whose adjacent
-/// representable values differ by 2×, so only a >4× blowup trips it.
+/// Hot-path p99 solve-time growth bound.
 pub const SOLVE_THRESHOLD: f64 = 3.0;
-
-/// The latest-two-records hot-path comparison `repro compare` gates on:
-/// per-request p99 solve time and allocations per request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HotpathComparison {
-    /// Thread count both records share.
-    pub threads: u64,
-    /// p99 solve latency of the older record, microseconds.
-    pub older_solve_p99_us: f64,
-    /// p99 solve latency of the newer record, microseconds.
-    pub newer_solve_p99_us: f64,
-    /// Heap allocations per solve request in the older record.
-    pub older_allocs_per_request: f64,
-    /// Heap allocations per solve request in the newer record.
-    pub newer_allocs_per_request: f64,
-    /// `newer_p99 / older_p99` (∞ when the older p99 is 0 and the newer
-    /// is not).
-    pub p99_ratio: f64,
-    /// `newer_allocs / older_allocs` (∞ when the older is 0 and the
-    /// newer is not).
-    pub allocs_ratio: f64,
-    /// The solve-latency gate threshold.
-    pub p99_threshold: f64,
-    /// The allocations gate threshold.
-    pub allocs_threshold: f64,
-    /// Whether either dimension regressed past its threshold.
-    pub regressed: bool,
-}
-
-impl fmt::Display for HotpathComparison {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "hotpath: solve p99 {:.0} \u{00b5}s -> {:.0} \u{00b5}s (gate {:.0}\u{00d7}), \
-             {:.2} -> {:.2} allocs/request (gate \u{00b1}{:.0} %; {} thread(s)): {}",
-            self.older_solve_p99_us,
-            self.newer_solve_p99_us,
-            1.0 + self.p99_threshold,
-            self.older_allocs_per_request,
-            self.newer_allocs_per_request,
-            self.allocs_threshold * 100.0,
-            self.threads,
-            if self.regressed { "REGRESSED" } else { "ok" }
-        )
-    }
-}
-
-/// Compares the latest two `all` records that carry the hot-path
-/// dimensions (`solve_p99_us`, `allocs_per_request` — present since the
-/// solve fast path landed; older records and `VARDELAY_OBS=0` runs are
-/// skipped, so the gate arms itself once two instrumented runs exist).
-/// Flags a regression when the newer p99 solve time exceeds the older by
-/// more than `p99_threshold` (see [`SOLVE_THRESHOLD`] for why it is
-/// loose) **or** allocations per request grow past `allocs_threshold`.
-///
-/// # Errors
-///
-/// Same shapes as [`compare_latest`]: [`CompareError::TooFewRecords`]
-/// under two instrumented `all` records, [`CompareError::ThreadMismatch`]
-/// when their thread counts differ, [`CompareError::MissingField`] on
-/// records without `threads`.
-pub fn compare_latest_hotpath(
-    records: &[Value],
-    p99_threshold: f64,
-    allocs_threshold: f64,
-) -> Result<HotpathComparison, CompareError> {
-    let matching: Vec<&Value> = records
-        .iter()
-        .filter(|r| r.get("experiments").and_then(Value::as_str) == Some("all"))
-        .filter(|r| !is_zero_point(r) && !is_resumed(r))
-        .filter(|r| {
-            r.get("solve_p99_us").and_then(Value::as_f64).is_some()
-                && r.get("allocs_per_request")
-                    .and_then(Value::as_f64)
-                    .is_some()
-        })
-        .collect();
-    let [.., older, newer] = matching.as_slice() else {
-        return Err(CompareError::TooFewRecords {
-            found: matching.len(),
-            experiments: "all".to_owned(),
-        });
-    };
-    let threads = |r: &Value| {
-        r.get("threads")
-            .and_then(Value::as_u64)
-            .ok_or(CompareError::MissingField("threads"))
-    };
-    let (older_threads, newer_threads) = (threads(older)?, threads(newer)?);
-    if older_threads != newer_threads {
-        return Err(CompareError::ThreadMismatch {
-            older: older_threads,
-            newer: newer_threads,
-        });
-    }
-    // Presence was filtered above, so these cannot miss.
-    let field = |r: &Value, name: &str| r.get(name).and_then(Value::as_f64).unwrap_or(0.0);
-    let ratio = |older: f64, newer: f64| {
-        if older > 0.0 {
-            newer / older
-        } else if newer > 0.0 {
-            f64::INFINITY
-        } else {
-            1.0
-        }
-    };
-    let (older_solve_p99_us, newer_solve_p99_us) =
-        (field(older, "solve_p99_us"), field(newer, "solve_p99_us"));
-    let (older_allocs_per_request, newer_allocs_per_request) = (
-        field(older, "allocs_per_request"),
-        field(newer, "allocs_per_request"),
-    );
-    let p99_ratio = ratio(older_solve_p99_us, newer_solve_p99_us);
-    let allocs_ratio = ratio(older_allocs_per_request, newer_allocs_per_request);
-    Ok(HotpathComparison {
-        threads: newer_threads,
-        older_solve_p99_us,
-        newer_solve_p99_us,
-        older_allocs_per_request,
-        newer_allocs_per_request,
-        p99_ratio,
-        allocs_ratio,
-        p99_threshold,
-        allocs_threshold,
-        regressed: p99_ratio > 1.0 + p99_threshold || allocs_ratio > 1.0 + allocs_threshold,
-    })
-}
-
-/// Run-over-run warm-start growth bound for the durable-restart gate
-/// (fractional, like [`SERVE_THRESHOLD`]): only a >4× blowup of the
-/// warm boot time trips it. Loose because a warm boot is dominated by
-/// the per-channel sentinel verification sweep, whose wall clock is
-/// quantized by scheduler noise at the few-millisecond scale.
+/// Restart warm-start growth bound.
 pub const RESTART_THRESHOLD: f64 = 3.0;
 
-/// The latest-two-records durable-restart comparison: the newest run's
-/// absolute recovery correctness (banks restored from snapshots, zero
-/// replay divergence, zero forced recalibrations, warm faster than
-/// cold) plus run-over-run warm-start growth.
+/// How a gate picks the records it judges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pairing {
+    /// The latest two eligible records, which must share a thread count.
+    LatestTwo,
+    /// The newest eligible record alone (an absolute gate).
+    Newest,
+}
+
+/// What a bounded [`Rule`] compares the newest record's field against.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// A constant.
+    Const(f64),
+    /// Another field of the newest record, read like the checked one.
+    Field(&'static str),
+}
+
+/// What a [`Check`] demands of its field; all but `Growth` and `Shrink`
+/// (which need [`Pairing::LatestTwo`]) read the newest record only.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Rule {
+    /// Fails when `newer / older > 1 + t` (an older 0: ∞ if newer > 0).
+    Growth(f64),
+    /// Fails when `older > 0 && newer < older / (1 + t)`.
+    Shrink(f64),
+    /// Fails when `newer > bound`.
+    AtMost(Bound),
+    /// Fails when `newer < bound`.
+    AtLeast(Bound),
+    /// Fails when `newer >= bound`.
+    Below(Bound),
+    /// A boolean field; fails when `true`.
+    IsFalse,
+    /// A required field, shown in the verdict; never fails.
+    Report,
+}
+
+use Bound::{Const, Field};
+use Pairing::{LatestTwo, Newest};
+use Rule::{AtLeast, AtMost, Below, Growth, IsFalse, Report, Shrink};
+
+/// One journal field and the rule it must meet.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Check {
+    /// The record field read.
+    pub field: &'static str,
+    /// Read as a non-negative integer (a fraction is a missing field).
+    pub int: bool,
+    /// What the field must satisfy.
+    pub rule: Rule,
+}
+
+/// One regression gate: the records it reads, how it pairs them, and
+/// the checks the newest must pass.
+#[derive(Debug, PartialEq)]
+pub struct Gate {
+    /// The `repro compare <target>` name.
+    pub target: &'static str,
+    /// The `experiments` value of the records it reads.
+    pub kind: &'static str,
+    /// The `repro` subcommand appending those records (the too-few hint).
+    pub run: &'static str,
+    /// Latest two, or newest only.
+    pub pairing: Pairing,
+    /// Numeric fields a record needs to be eligible (else it is skipped).
+    pub requires: &'static [&'static str],
+    /// The checks, in field-read order (the first missing one reports).
+    pub checks: &'static [Check],
+}
+
+/// Every gate `repro compare` knows, in the order bare `compare` runs
+/// them. Bare `compare` requires only `all`; the rest arm themselves
+/// once their records exist.
+#[rustfmt::skip]
+pub const GATES: &[Gate] = {
+    const fn num(field: &'static str, rule: Rule) -> Check { Check { field, int: false, rule } }
+    const fn int(field: &'static str, rule: Rule) -> Check { Check { field, int: true, rule } }
+    &[
+        // The paper campaign's wall clock.
+        Gate { target: "all", kind: "all", run: "all", pairing: LatestTwo, requires: &[],
+            checks: &[num("wall_s", Growth(DEFAULT_THRESHOLD))] },
+        // Serving SLO: p99 growth or throughput collapse.
+        Gate { target: "serve-bench", kind: "serve-bench", run: "serve-bench",
+            pairing: LatestTwo, requires: &[], checks: &[
+                num("p99_us", Growth(SERVE_THRESHOLD)),
+                num("throughput_rps", Shrink(SERVE_THRESHOLD)),
+            ] },
+        // Multi-tenant serving: p99.9 growth, and the newest run's fairness —
+        // absolute, so a starved tenant trips at once instead of poisoning
+        // the next baseline.
+        Gate { target: "fairness", kind: "serve-bench-mt", run: "serve-bench mt",
+            pairing: LatestTwo, requires: &[], checks: &[
+                num("p999_us", Growth(SERVE_THRESHOLD)),
+                num("fairness_ratio", AtMost(Const(FAIRNESS_THRESHOLD))),
+                int("tenants", Report),
+            ] },
+        // The calibration hot path, on instrumented `all` records only
+        // (pre-fast-path and `VARDELAY_OBS=0` records lack the fields).
+        Gate { target: "hotpath", kind: "all", run: "all", pairing: LatestTwo,
+            requires: &["solve_p99_us", "allocs_per_request"], checks: &[
+                num("solve_p99_us", Growth(SOLVE_THRESHOLD)),
+                num("allocs_per_request", Growth(DEFAULT_THRESHOLD)),
+            ] },
+        // Chaos soak: MTTR growth, the newest run's availability, and every
+        // incident healed.
+        Gate { target: "soak", kind: "soak", run: "soak", pairing: LatestTwo, requires: &[],
+            checks: &[
+                num("mttr_p99_us", Growth(SOAK_MTTR_THRESHOLD)),
+                num("availability", AtLeast(Const(SOAK_AVAILABILITY_FLOOR))),
+                int("incidents", Report),
+                int("unhealed", AtMost(Const(0.0))),
+            ] },
+        // Durable restart: warm-start growth, plus the newest run's recovery —
+        // warm beats cold, a bank restored, none recalibrated, no divergence.
+        Gate { target: "restart", kind: "restart", run: "restart", pairing: LatestTwo,
+            requires: &[], checks: &[
+                num("warm_start_us", Growth(RESTART_THRESHOLD)),
+                num("warm_start_us", Below(Field("cold_start_us"))),
+                int("banks_restored", AtLeast(Const(1.0))),
+                int("banks_recalibrated", AtMost(Const(0.0))),
+                int("wal_records_replayed", Report),
+                int("replay_mismatches", AtMost(Const(0.0))),
+            ] },
+        // Backend contracts, absolute on the newest record: every contract
+        // met, no reference drift, every injected fault caught.
+        Gate { target: "backends", kind: "backends", run: "backends", pairing: Newest,
+            requires: &[], checks: &[
+                int("contract_violations", AtMost(Const(0.0))),
+                num("reference_drift", IsFalse),
+                int("faults_detected", AtLeast(Field("faults_expected"))),
+            ] },
+    ]
+};
+
+/// The [`GATES`] row for a `repro compare` target.
+pub fn gate(target: &str) -> Option<&'static Gate> {
+    GATES.iter().find(|g| g.target == target)
+}
+
+/// One evaluated [`Check`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct RestartComparison {
-    /// Worker count both records share.
+pub struct Row {
+    /// The check evaluated.
+    pub check: &'static Check,
+    /// The older record's value (`Growth`/`Shrink` only).
+    pub older: Option<f64>,
+    /// The newest record's value (a boolean reads as 0 or 1).
+    pub newer: f64,
+    /// The limit: on the ratio for `Growth`, on `newer` otherwise.
+    pub bound: Option<f64>,
+    /// Whether the check passed.
+    pub ok: bool,
+}
+
+/// A gate's judgement of the records it paired.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Verdict {
+    /// The gate evaluated.
+    pub gate: &'static Gate,
+    /// Thread (worker) count of the judged records.
     pub threads: u64,
-    /// Cold (first-boot) start time of the newer record, microseconds.
-    pub cold_start_us: f64,
-    /// Warm (restarted) start time of the older record, microseconds.
-    pub older_warm_start_us: f64,
-    /// Warm start time of the newer record, microseconds.
-    pub newer_warm_start_us: f64,
-    /// Banks the newer run's warm boot restored from snapshots.
-    pub banks_restored: u64,
-    /// Banks the newer run's warm boot had to recalibrate despite an
-    /// uncorrupted store (must be zero — the whole point of snapshots).
-    pub banks_recalibrated: u64,
-    /// WAL records the newer run's warm boot replayed.
-    pub wal_records_replayed: u64,
-    /// Post-restart answers that diverged byte-for-byte from the
-    /// pre-restart answers (must be zero — never serve a wrong table).
-    pub replay_mismatches: u64,
-    /// `newer_warm_start / older_warm_start` (∞ when the older is 0
-    /// and the newer is not).
-    pub warm_ratio: f64,
-    /// Warm-start growth bound (fractional — see [`RESTART_THRESHOLD`]).
-    pub warm_threshold: f64,
-    /// Whether the newest run restored nothing, diverged on replay,
-    /// recalibrated an intact bank, warm-started slower than cold, or
-    /// grew its warm start past the threshold.
+    /// One row per check, in table order.
+    pub rows: Vec<Row>,
+    /// Whether any check failed.
     pub regressed: bool,
 }
 
-impl fmt::Display for RestartComparison {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "restart: warm start {:.0} \u{00b5}s -> {:.0} \u{00b5}s (cold {:.0} \u{00b5}s), \
-             {} bank(s) restored, {} recalibrated, {} wal record(s) replayed, \
-             {} replay mismatch(es) ({} worker(s); gates {:.0}\u{00d7} warm growth, \
-             warm<cold, \u{2265}1 restored, 0 recalibrated, 0 mismatches): {}",
-            self.older_warm_start_us,
-            self.newer_warm_start_us,
-            self.cold_start_us,
-            self.banks_restored,
-            self.banks_recalibrated,
-            self.wal_records_replayed,
-            self.replay_mismatches,
-            self.threads,
-            1.0 + self.warm_threshold,
-            if self.regressed { "REGRESSED" } else { "ok" }
-        )
+impl Verdict {
+    /// The first row reading `field`.
+    pub fn row(&self, field: &str) -> Option<&Row> {
+        self.rows.iter().find(|r| r.check.field == field)
     }
 }
 
-/// Compares the latest two `restart` records (the journal kind written
-/// by `repro restart`), flagging a regression when the newest run's
-/// warm boot restored no bank, recalibrated a bank whose snapshots were
-/// intact, served any post-restart answer that diverged byte-for-byte
-/// from its pre-restart twin, warm-started slower than the cold boot,
-/// or grew its warm start past `warm_threshold` (fractional) over the
-/// previous run. The correctness legs are absolute gates on the newest
-/// run alone — a recovery path that silently recalibrates or diverges
-/// must trip immediately, not poison the next baseline.
-///
-/// # Errors
-///
-/// Same shapes as [`compare_latest`]: [`CompareError::TooFewRecords`]
-/// under two `restart` records, [`CompareError::ThreadMismatch`] when
-/// their worker counts differ, [`CompareError::MissingField`] on
-/// records without the restart fields.
-pub fn compare_latest_restart(
-    records: &[Value],
-    warm_threshold: f64,
-) -> Result<RestartComparison, CompareError> {
-    let matching: Vec<&Value> = records
-        .iter()
-        .filter(|r| r.get("experiments").and_then(Value::as_str) == Some("restart"))
-        .collect();
-    let [.., older, newer] = matching.as_slice() else {
-        return Err(CompareError::TooFewRecords {
-            found: matching.len(),
-            experiments: "restart".to_owned(),
-        });
-    };
-    let threads = |r: &Value| {
-        r.get("threads")
-            .and_then(Value::as_u64)
-            .ok_or(CompareError::MissingField("threads"))
-    };
-    let (older_threads, newer_threads) = (threads(older)?, threads(newer)?);
-    if older_threads != newer_threads {
-        return Err(CompareError::ThreadMismatch {
-            older: older_threads,
-            newer: newer_threads,
-        });
-    }
-    let f64_field = |r: &Value, name: &'static str| {
-        r.get(name)
-            .and_then(Value::as_f64)
-            .ok_or(CompareError::MissingField(name))
-    };
-    let u64_field = |r: &Value, name: &'static str| {
-        r.get(name)
-            .and_then(Value::as_u64)
-            .ok_or(CompareError::MissingField(name))
-    };
-    let older_warm_start_us = f64_field(older, "warm_start_us")?;
-    let newer_warm_start_us = f64_field(newer, "warm_start_us")?;
-    let cold_start_us = f64_field(newer, "cold_start_us")?;
-    let banks_restored = u64_field(newer, "banks_restored")?;
-    let banks_recalibrated = u64_field(newer, "banks_recalibrated")?;
-    let wal_records_replayed = u64_field(newer, "wal_records_replayed")?;
-    let replay_mismatches = u64_field(newer, "replay_mismatches")?;
-    let warm_ratio = if older_warm_start_us > 0.0 {
-        newer_warm_start_us / older_warm_start_us
-    } else if newer_warm_start_us > 0.0 {
+/// `newer / older`: ∞ when only the older is 0, 1 when both are.
+fn growth_ratio(older: f64, newer: f64) -> f64 {
+    if older > 0.0 {
+        newer / older
+    } else if newer > 0.0 {
         f64::INFINITY
     } else {
         1.0
-    };
-    Ok(RestartComparison {
-        threads: newer_threads,
-        cold_start_us,
-        older_warm_start_us,
-        newer_warm_start_us,
-        banks_restored,
-        banks_recalibrated,
-        wal_records_replayed,
-        replay_mismatches,
-        warm_ratio,
-        warm_threshold,
-        regressed: banks_restored == 0
-            || banks_recalibrated > 0
-            || replay_mismatches > 0
-            || newer_warm_start_us >= cold_start_us
-            || warm_ratio > 1.0 + warm_threshold,
-    })
-}
-
-/// What [`compare_latest_backends`] found in the newest `backends`
-/// record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackendsComparison {
-    /// Worker threads of the gated run.
-    pub threads: u64,
-    /// Backends that missed their advertised contract.
-    pub contract_violations: u64,
-    /// Whether the circuit row diverged from the directly-driven
-    /// circuit baseline.
-    pub reference_drift: bool,
-    /// Backend-specific faults detected *and* healed.
-    pub faults_detected: u64,
-    /// Faults the campaign expected to detect (0 when masked).
-    pub faults_expected: u64,
-    /// Whether the gate fired.
-    pub regressed: bool,
-}
-
-impl fmt::Display for BackendsComparison {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "backends: {} contract violation(s), reference drift {}, \
-             {}/{} fault(s) detected+healed ({} thread(s); gates 0 violations, \
-             no drift, all faults caught): {}",
-            self.contract_violations,
-            if self.reference_drift { "yes" } else { "no" },
-            self.faults_detected,
-            self.faults_expected,
-            self.threads,
-            if self.regressed { "REGRESSED" } else { "ok" }
-        )
     }
 }
 
-/// Gates the latest `backends` record (the journal kind written by
-/// `repro backends`). Unlike the trend gates this one is *absolute* and
-/// needs only a single record: every backend must meet its advertised
-/// contract, the circuit reference must not drift from the
-/// directly-driven baseline by a single byte, and every backend-specific
-/// fault the campaign injected must have been detected and healed.
+/// Reads `field` as `check` reads: a bool as 0/1, an integer, or a number.
+fn read(record: &Value, field: &'static str, check: &Check) -> Result<f64, CompareError> {
+    let value = record.get(field);
+    let n = match check.rule {
+        IsFalse => value.and_then(Value::as_bool).map(f64::from),
+        _ if check.int => value.and_then(Value::as_u64).map(|n| n as f64),
+        _ => value.and_then(Value::as_f64),
+    };
+    n.ok_or(CompareError::MissingField(field))
+}
+
+/// Runs one gate over a journal (oldest record first) on its eligible
+/// records: the gate's kind, not zero-point or resumed, carrying every
+/// [`Gate::requires`] field.
 ///
 /// # Errors
 ///
-/// [`CompareError::TooFewRecords`] when no `backends` record exists,
-/// [`CompareError::MissingField`] on records without the backends
-/// fields.
-pub fn compare_latest_backends(records: &[Value]) -> Result<BackendsComparison, CompareError> {
-    let matching: Vec<&Value> = records
+/// Too few eligible records, a pair's thread counts differing, or the
+/// first field (`threads`, then check order) a judged record lacks.
+pub fn evaluate(gate: &'static Gate, records: &[Value]) -> Result<Verdict, CompareError> {
+    let has = |r: &Value, field| r.get(field).and_then(Value::as_f64).is_some();
+    let eligible: Vec<&Value> = records
         .iter()
-        .filter(|r| r.get("experiments").and_then(Value::as_str) == Some("backends"))
+        .filter(|r| r.get("experiments").and_then(Value::as_str) == Some(gate.kind))
+        .filter(|r| !is_zero_point(r) && !is_resumed(r))
+        .filter(|r| gate.requires.iter().all(|&field| has(r, field)))
         .collect();
-    let [.., newer] = matching.as_slice() else {
-        return Err(CompareError::TooFewRecords {
-            found: 0,
-            experiments: "backends".to_owned(),
+    // The judged records: the previous one (paired gates only) and the last.
+    let (prev, last) = match (gate.pairing, eligible.as_slice()) {
+        (LatestTwo, [.., prev, last]) => (Some(*prev), *last),
+        (Newest, [.., last]) => (None, *last),
+        _ => {
+            let (found, experiments) = (eligible.len(), gate.kind.to_owned());
+            return Err(CompareError::TooFewRecords { found, experiments });
+        }
+    };
+    let threads = |r: &Value| r.get("threads").and_then(Value::as_u64);
+    let missing = || CompareError::MissingField("threads");
+    let older = prev.map(|r| threads(r).ok_or_else(missing)).transpose()?;
+    let newer = threads(last).ok_or_else(missing)?;
+    if let Some(older) = older.filter(|&t| t != newer) {
+        return Err(CompareError::ThreadMismatch { older, newer });
+    }
+    let mut rows = Vec::with_capacity(gate.checks.len());
+    for check in gate.checks {
+        // Only growth and shrink read the previous record.
+        let prev = prev.filter(|_| matches!(check.rule, Growth(_) | Shrink(_)));
+        let older = prev.map(|r| read(r, check.field, check)).transpose()?;
+        let newer = read(last, check.field, check)?;
+        let (bound, failed) = match (check.rule, older) {
+            (Growth(t), Some(o)) => (Some(1.0 + t), growth_ratio(o, newer) > 1.0 + t),
+            (Shrink(t), Some(o)) => (Some(o / (1.0 + t)), o > 0.0 && newer < o / (1.0 + t)),
+            (AtMost(b) | AtLeast(b) | Below(b), _) => {
+                let b = match b {
+                    Const(c) => c,
+                    Field(field) => read(last, field, check)?,
+                };
+                let failed = match check.rule {
+                    AtMost(_) => newer > b,
+                    AtLeast(_) => newer < b,
+                    _ => newer >= b,
+                };
+                (Some(b), failed)
+            }
+            (IsFalse, _) => (None, newer != 0.0),
+            _ => (None, false),
+        };
+        let ok = !failed;
+        rows.push(Row {
+            check,
+            older,
+            newer,
+            bound,
+            ok,
         });
-    };
-    let u64_field = |name: &'static str| {
-        newer
-            .get(name)
-            .and_then(Value::as_u64)
-            .ok_or(CompareError::MissingField(name))
-    };
-    let threads = u64_field("threads")?;
-    let contract_violations = u64_field("contract_violations")?;
-    let reference_drift = newer
-        .get("reference_drift")
-        .and_then(Value::as_bool)
-        .ok_or(CompareError::MissingField("reference_drift"))?;
-    let faults_detected = u64_field("faults_detected")?;
-    let faults_expected = u64_field("faults_expected")?;
-    Ok(BackendsComparison {
-        threads,
-        contract_violations,
-        reference_drift,
-        faults_detected,
-        faults_expected,
-        regressed: contract_violations > 0 || reference_drift || faults_detected < faults_expected,
+    }
+    let regressed = rows.iter().any(|r| !r.ok);
+    Ok(Verdict {
+        gate,
+        threads: newer,
+        rows,
+        regressed,
     })
+}
+
+impl fmt::Display for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (field, n, bound) = (self.check.field, self.newer, self.bound.unwrap_or(f64::NAN));
+        match (self.check.rule, self.older) {
+            (Growth(t), Some(o)) => {
+                let (pct, t) = ((growth_ratio(o, n) - 1.0) * 100.0, t * 100.0);
+                write!(f, "{field} {o} -> {n} ({pct:+.1} %, gate +{t:.0} %)")
+            }
+            (Shrink(_), Some(o)) => write!(f, "{field} {o} -> {n} (gate \u{2265} {bound})"),
+            (rule @ (AtMost(b) | AtLeast(b) | Below(b)), _) => {
+                let op = match rule {
+                    AtMost(_) => "\u{2264}",
+                    AtLeast(_) => "\u{2265}",
+                    _ => "<",
+                };
+                match b {
+                    Field(other) => write!(f, "{field} {n} (gate {op} {other} {bound})"),
+                    Const(_) => write!(f, "{field} {n} (gate {op} {bound})"),
+                }
+            }
+            (IsFalse, _) => write!(f, "{field} {} (gate false)", n != 0.0),
+            _ => write!(f, "{field} {n}"),
+        }?;
+        f.write_str(if self.ok { "" } else { " FAIL" })
+    }
+}
+
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rows: Vec<String> = self.rows.iter().map(Row::to_string).collect();
+        let (target, rows, threads) = (self.gate.target, rows.join(", "), self.threads);
+        let verdict = if self.regressed { "REGRESSED" } else { "ok" };
+        write!(f, "{target}: {rows} ({threads} thread(s)): {verdict}")
+    }
 }
 
 #[cfg(test)]
@@ -1403,6 +870,23 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Evaluates the [`GATES`] row for `target`.
+    fn run(target: &str, records: &[Value]) -> Result<Verdict, CompareError> {
+        evaluate(gate(target).expect("a GATES target"), records)
+    }
+
+    fn older(v: &Verdict, field: &str) -> f64 {
+        v.row(field).and_then(|r| r.older).expect("a paired row")
+    }
+
+    fn newer(v: &Verdict, field: &str) -> f64 {
+        v.row(field).expect("a row").newer
+    }
+
+    fn ratio(v: &Verdict, field: &str) -> f64 {
+        newer(v, field) / older(v, field)
+    }
+
     #[test]
     fn compare_ignores_zero_point_records() {
         let zero = record("all", 1, 0.0).with("csv_points", 0u64);
@@ -1414,14 +898,14 @@ mod tests {
             record("all", 1, 6.2).with("csv_points", 172u64),
             zero.clone(),
         ];
-        let c = compare_latest(&records, "all", DEFAULT_THRESHOLD).unwrap();
-        assert_eq!(c.older_wall_s, 6.0);
-        assert_eq!(c.newer_wall_s, 6.2);
+        let c = run("all", &records).unwrap();
+        assert_eq!(older(&c, "wall_s"), 6.0);
+        assert_eq!(newer(&c, "wall_s"), 6.2);
         assert!(!c.regressed, "{c}");
         // With only one valid record left, the error is the clear
         // one-liner, not a bogus comparison against the zero record.
         let records = vec![record("all", 1, 6.0).with("csv_points", 172u64), zero];
-        let err = compare_latest(&records, "all", DEFAULT_THRESHOLD).unwrap_err();
+        let err = run("all", &records).unwrap_err();
         assert_eq!(
             err,
             CompareError::TooFewRecords {
@@ -1445,9 +929,9 @@ mod tests {
                 .with("resumed", true),
             record("all", 1, 6.2).with("csv_points", 172u64),
         ];
-        let c = compare_latest(&records, "all", DEFAULT_THRESHOLD).unwrap();
-        assert_eq!(c.older_wall_s, 6.0);
-        assert_eq!(c.newer_wall_s, 6.2);
+        let c = run("all", &records).unwrap();
+        assert_eq!(older(&c, "wall_s"), 6.0);
+        assert_eq!(newer(&c, "wall_s"), 6.2);
         assert!(!c.regressed, "{c}");
     }
 
@@ -1459,33 +943,33 @@ mod tests {
             record("all", 1, 6.0),
             record("all", 1, 6.3),
         ];
-        let c = compare_latest(&records, "all", DEFAULT_THRESHOLD).unwrap();
-        assert_eq!(c.older_wall_s, 6.0);
-        assert_eq!(c.newer_wall_s, 6.3);
+        let c = run("all", &records).unwrap();
+        assert_eq!(older(&c, "wall_s"), 6.0);
+        assert_eq!(newer(&c, "wall_s"), 6.3);
         assert!(!c.regressed, "{c}");
     }
 
     #[test]
     fn compare_flags_regression_over_threshold() {
         let records = vec![record("all", 1, 6.0), record("all", 1, 6.61)];
-        let c = compare_latest(&records, "all", 0.10).unwrap();
+        let c = run("all", &records).unwrap();
         assert!(c.regressed, "{c}");
         // And just inside the gate passes.
         let records = vec![record("all", 1, 6.0), record("all", 1, 6.59)];
-        assert!(!compare_latest(&records, "all", 0.10).unwrap().regressed);
+        assert!(!run("all", &records).unwrap().regressed);
     }
 
     #[test]
     fn compare_requires_two_records_and_equal_threads() {
         assert_eq!(
-            compare_latest(&[record("all", 1, 6.0)], "all", 0.1),
+            run("all", &[record("all", 1, 6.0)]),
             Err(CompareError::TooFewRecords {
                 found: 1,
                 experiments: "all".to_owned()
             })
         );
         assert_eq!(
-            compare_latest(&[record("all", 1, 6.0), record("all", 4, 2.0)], "all", 0.1),
+            run("all", &[record("all", 1, 6.0), record("all", 4, 2.0)]),
             Err(CompareError::ThreadMismatch { older: 1, newer: 4 })
         );
     }
@@ -1505,30 +989,22 @@ mod tests {
             hotpath_record(4, 4000.0, 9.5),
             hotpath_record(4, 8000.0, 9.5),
         ];
-        let c = compare_latest_hotpath(&records, SOLVE_THRESHOLD, DEFAULT_THRESHOLD).unwrap();
+        let c = run("hotpath", &records).unwrap();
         assert!(!c.regressed, "{c}");
-        assert_eq!(c.p99_ratio, 2.0);
+        assert_eq!(ratio(&c, "solve_p99_us"), 2.0);
         // A >4× p99 blowup trips it.
         let records = vec![
             hotpath_record(4, 4000.0, 9.5),
             hotpath_record(4, 17000.0, 9.5),
         ];
-        assert!(
-            compare_latest_hotpath(&records, SOLVE_THRESHOLD, DEFAULT_THRESHOLD)
-                .unwrap()
-                .regressed
-        );
+        assert!(run("hotpath", &records).unwrap().regressed);
         // Allocations per request are deterministic, so their gate is
         // the tight default: +11 % fails even with a flat p99.
         let records = vec![
             hotpath_record(4, 4000.0, 9.5),
             hotpath_record(4, 4000.0, 10.6),
         ];
-        assert!(
-            compare_latest_hotpath(&records, SOLVE_THRESHOLD, DEFAULT_THRESHOLD)
-                .unwrap()
-                .regressed
-        );
+        assert!(run("hotpath", &records).unwrap().regressed);
     }
 
     #[test]
@@ -1549,7 +1025,7 @@ mod tests {
             hotpath_record(4, 4000.0, 9.5),
         ];
         assert_eq!(
-            compare_latest_hotpath(&records, SOLVE_THRESHOLD, DEFAULT_THRESHOLD),
+            run("hotpath", &records),
             Err(CompareError::TooFewRecords {
                 found: 1,
                 experiments: "all".to_owned()
@@ -1562,9 +1038,9 @@ mod tests {
             legacy,
             hotpath_record(4, 4100.0, 9.5),
         ];
-        let c = compare_latest_hotpath(&records, SOLVE_THRESHOLD, DEFAULT_THRESHOLD).unwrap();
-        assert_eq!(c.older_solve_p99_us, 4000.0);
-        assert_eq!(c.newer_solve_p99_us, 4100.0);
+        let c = run("hotpath", &records).unwrap();
+        assert_eq!(older(&c, "solve_p99_us"), 4000.0);
+        assert_eq!(newer(&c, "solve_p99_us"), 4100.0);
         assert!(!c.regressed, "{c}");
         // Different widths are not comparable.
         let records = vec![
@@ -1572,7 +1048,7 @@ mod tests {
             hotpath_record(4, 4000.0, 9.5),
         ];
         assert_eq!(
-            compare_latest_hotpath(&records, SOLVE_THRESHOLD, DEFAULT_THRESHOLD),
+            run("hotpath", &records),
             Err(CompareError::ThreadMismatch { older: 2, newer: 4 })
         );
     }
@@ -1593,29 +1069,21 @@ mod tests {
             serve_record(4, 400.0, 5000.0),
             serve_record(4, 800.0, 4800.0),
         ];
-        let c = compare_latest_serve(&records, SERVE_THRESHOLD).unwrap();
+        let c = run("serve-bench", &records).unwrap();
         assert!(!c.regressed, "{c}");
-        assert_eq!(c.p99_ratio, 2.0);
+        assert_eq!(ratio(&c, "p99_us"), 2.0);
         // A >4× p99 blowup trips it.
         let records = vec![
             serve_record(4, 400.0, 5000.0),
             serve_record(4, 1700.0, 4800.0),
         ];
-        assert!(
-            compare_latest_serve(&records, SERVE_THRESHOLD)
-                .unwrap()
-                .regressed
-        );
+        assert!(run("serve-bench", &records).unwrap().regressed);
         // So does a throughput collapse, even with a flat p99.
         let records = vec![
             serve_record(4, 400.0, 5000.0),
             serve_record(4, 400.0, 1000.0),
         ];
-        assert!(
-            compare_latest_serve(&records, SERVE_THRESHOLD)
-                .unwrap()
-                .regressed
-        );
+        assert!(run("serve-bench", &records).unwrap().regressed);
     }
 
     #[test]
@@ -1623,7 +1091,7 @@ mod tests {
         // Wall-clock records in the same journal are not serve records.
         let records = vec![record("all", 1, 6.0), serve_record(4, 400.0, 5000.0)];
         assert_eq!(
-            compare_latest_serve(&records, SERVE_THRESHOLD),
+            run("serve-bench", &records),
             Err(CompareError::TooFewRecords {
                 found: 1,
                 experiments: "serve-bench".to_owned()
@@ -1634,7 +1102,7 @@ mod tests {
             serve_record(4, 400.0, 5000.0),
         ];
         assert_eq!(
-            compare_latest_serve(&records, SERVE_THRESHOLD),
+            run("serve-bench", &records),
             Err(CompareError::ThreadMismatch { older: 2, newer: 4 })
         );
         let bad = vec![
@@ -1644,7 +1112,7 @@ mod tests {
                 .with("threads", 4u64),
         ];
         assert_eq!(
-            compare_latest_serve(&bad, SERVE_THRESHOLD),
+            run("serve-bench", &bad),
             Err(CompareError::MissingField("p99_us"))
         );
     }
@@ -1663,22 +1131,18 @@ mod tests {
     fn fairness_compare_gates_p999_growth_and_the_newest_ratio() {
         // Balanced and flat: ok.
         let records = vec![mt_record(4, 2000.0, 1.1), mt_record(4, 4000.0, 1.3)];
-        let c = compare_latest_fairness(&records, SERVE_THRESHOLD, FAIRNESS_THRESHOLD).unwrap();
+        let c = run("fairness", &records).unwrap();
         assert!(!c.regressed, "{c}");
-        assert_eq!(c.p999_ratio, 2.0);
-        assert_eq!(c.tenants, 16);
+        assert_eq!(ratio(&c, "p999_us"), 2.0);
+        assert_eq!(newer(&c, "tenants"), 16.0);
         // A >4× p99.9 blowup trips the latency side.
         let records = vec![mt_record(4, 2000.0, 1.1), mt_record(4, 9000.0, 1.1)];
-        assert!(
-            compare_latest_fairness(&records, SERVE_THRESHOLD, FAIRNESS_THRESHOLD)
-                .unwrap()
-                .regressed
-        );
+        assert!(run("fairness", &records).unwrap().regressed);
         // A starved tenant trips the fairness side even with flat
         // latency — the ratio is absolute, judged on the newest run
         // alone, so an injection cannot hide behind a calm older run.
         let records = vec![mt_record(4, 2000.0, 1.1), mt_record(4, 2000.0, 9.7)];
-        let c = compare_latest_fairness(&records, SERVE_THRESHOLD, FAIRNESS_THRESHOLD).unwrap();
+        let c = run("fairness", &records).unwrap();
         assert!(c.regressed, "{c}");
         assert!(c.to_string().contains("REGRESSED"), "{c}");
     }
@@ -1688,7 +1152,7 @@ mod tests {
         // Single-tenant serve records do not feed the mt gate.
         let records = vec![serve_record(4, 400.0, 5000.0), mt_record(4, 2000.0, 1.1)];
         assert_eq!(
-            compare_latest_fairness(&records, SERVE_THRESHOLD, FAIRNESS_THRESHOLD),
+            run("fairness", &records),
             Err(CompareError::TooFewRecords {
                 found: 1,
                 experiments: "serve-bench-mt".to_owned()
@@ -1696,7 +1160,7 @@ mod tests {
         );
         let records = vec![mt_record(2, 2000.0, 1.1), mt_record(4, 2000.0, 1.1)];
         assert_eq!(
-            compare_latest_fairness(&records, SERVE_THRESHOLD, FAIRNESS_THRESHOLD),
+            run("fairness", &records),
             Err(CompareError::ThreadMismatch { older: 2, newer: 4 })
         );
         let bad = vec![
@@ -1706,7 +1170,7 @@ mod tests {
                 .with("threads", 4u64),
         ];
         assert_eq!(
-            compare_latest_fairness(&bad, SERVE_THRESHOLD, FAIRNESS_THRESHOLD),
+            run("fairness", &bad),
             Err(CompareError::MissingField("p999_us"))
         );
     }
@@ -1735,21 +1199,16 @@ mod tests {
             soak_record(2, 100_000.0, 1.0, 4, 0),
             soak_record(2, 200_000.0, 0.995, 4, 0),
         ];
-        let c =
-            compare_latest_soak(&records, SOAK_MTTR_THRESHOLD, SOAK_AVAILABILITY_FLOOR).unwrap();
+        let c = run("soak", &records).unwrap();
         assert!(!c.regressed, "{c}");
-        assert_eq!(c.mttr_ratio, 2.0);
-        assert_eq!(c.incidents, 4);
+        assert_eq!(ratio(&c, "mttr_p99_us"), 2.0);
+        assert_eq!(newer(&c, "incidents"), 4.0);
         // A >4× recovery blowup trips the MTTR side.
         let records = vec![
             soak_record(2, 100_000.0, 1.0, 4, 0),
             soak_record(2, 500_000.0, 1.0, 4, 0),
         ];
-        assert!(
-            compare_latest_soak(&records, SOAK_MTTR_THRESHOLD, SOAK_AVAILABILITY_FLOOR)
-                .unwrap()
-                .regressed
-        );
+        assert!(run("soak", &records).unwrap().regressed);
         // An availability dip trips the floor even with flat MTTR —
         // absolute on the newest run, so an outage cannot hide behind a
         // calm older baseline.
@@ -1757,8 +1216,7 @@ mod tests {
             soak_record(2, 100_000.0, 1.0, 4, 0),
             soak_record(2, 100_000.0, 0.97, 4, 0),
         ];
-        let c =
-            compare_latest_soak(&records, SOAK_MTTR_THRESHOLD, SOAK_AVAILABILITY_FLOOR).unwrap();
+        let c = run("soak", &records).unwrap();
         assert!(c.regressed, "{c}");
         assert!(c.to_string().contains("REGRESSED"), "{c}");
         // A single unhealed incident trips it outright — this is the
@@ -1767,11 +1225,7 @@ mod tests {
             soak_record(2, 100_000.0, 1.0, 4, 0),
             soak_record(2, 100_000.0, 1.0, 4, 1),
         ];
-        assert!(
-            compare_latest_soak(&records, SOAK_MTTR_THRESHOLD, SOAK_AVAILABILITY_FLOOR)
-                .unwrap()
-                .regressed
-        );
+        assert!(run("soak", &records).unwrap().regressed);
     }
 
     #[test]
@@ -1782,7 +1236,7 @@ mod tests {
             soak_record(2, 100_000.0, 1.0, 4, 0),
         ];
         assert_eq!(
-            compare_latest_soak(&records, SOAK_MTTR_THRESHOLD, SOAK_AVAILABILITY_FLOOR),
+            run("soak", &records),
             Err(CompareError::TooFewRecords {
                 found: 1,
                 experiments: "soak".to_owned()
@@ -1793,7 +1247,7 @@ mod tests {
             soak_record(2, 100_000.0, 1.0, 4, 0),
         ];
         assert_eq!(
-            compare_latest_soak(&records, SOAK_MTTR_THRESHOLD, SOAK_AVAILABILITY_FLOOR),
+            run("soak", &records),
             Err(CompareError::ThreadMismatch { older: 1, newer: 2 })
         );
         let bad = vec![
@@ -1803,7 +1257,7 @@ mod tests {
                 .with("threads", 2u64),
         ];
         assert_eq!(
-            compare_latest_soak(&bad, SOAK_MTTR_THRESHOLD, SOAK_AVAILABILITY_FLOOR),
+            run("soak", &bad),
             Err(CompareError::MissingField("mttr_p99_us"))
         );
     }
@@ -1836,20 +1290,16 @@ mod tests {
             restart_record(2, 900_000.0, 100_000.0, 1, 0, 0),
             restart_record(2, 900_000.0, 200_000.0, 1, 0, 0),
         ];
-        let c = compare_latest_restart(&records, RESTART_THRESHOLD).unwrap();
+        let c = run("restart", &records).unwrap();
         assert!(!c.regressed, "{c}");
-        assert_eq!(c.warm_ratio, 2.0);
-        assert_eq!(c.banks_restored, 1);
+        assert_eq!(ratio(&c, "warm_start_us"), 2.0);
+        assert_eq!(newer(&c, "banks_restored"), 1.0);
         // A >4× warm-start blowup trips the growth side.
         let records = vec![
             restart_record(2, 9_000_000.0, 100_000.0, 1, 0, 0),
             restart_record(2, 9_000_000.0, 500_000.0, 1, 0, 0),
         ];
-        assert!(
-            compare_latest_restart(&records, RESTART_THRESHOLD)
-                .unwrap()
-                .regressed
-        );
+        assert!(run("restart", &records).unwrap().regressed);
         // The correctness legs are absolute on the newest run: zero
         // banks restored, any replay divergence, any forced
         // recalibration, or warm slower than cold each trip alone.
@@ -1860,7 +1310,7 @@ mod tests {
             restart_record(2, 900_000.0, 950_000.0, 1, 0, 0),
         ] {
             let records = vec![restart_record(2, 900_000.0, 100_000.0, 1, 0, 0), newest];
-            let c = compare_latest_restart(&records, RESTART_THRESHOLD).unwrap();
+            let c = run("restart", &records).unwrap();
             assert!(c.regressed, "{c}");
             assert!(c.to_string().contains("REGRESSED"), "{c}");
         }
@@ -1873,7 +1323,7 @@ mod tests {
             restart_record(2, 900_000.0, 100_000.0, 1, 0, 0),
         ];
         assert_eq!(
-            compare_latest_restart(&records, RESTART_THRESHOLD),
+            run("restart", &records),
             Err(CompareError::TooFewRecords {
                 found: 1,
                 experiments: "restart".to_owned()
@@ -1884,7 +1334,7 @@ mod tests {
             restart_record(2, 900_000.0, 100_000.0, 1, 0, 0),
         ];
         assert_eq!(
-            compare_latest_restart(&records, RESTART_THRESHOLD),
+            run("restart", &records),
             Err(CompareError::ThreadMismatch { older: 1, newer: 2 })
         );
         let bad = vec![
@@ -1894,7 +1344,7 @@ mod tests {
                 .with("threads", 2u64),
         ];
         assert_eq!(
-            compare_latest_restart(&bad, RESTART_THRESHOLD),
+            run("restart", &bad),
             Err(CompareError::MissingField("warm_start_us"))
         );
     }
@@ -1912,27 +1362,27 @@ mod tests {
     #[test]
     fn backends_compare_is_absolute_on_the_newest_record() {
         // A single clean record passes — the gate needs no baseline.
-        let c = compare_latest_backends(&[backends_record(0, false, 3, 3)]).unwrap();
+        let c = run("backends", &[backends_record(0, false, 3, 3)]).unwrap();
         assert!(!c.regressed, "{c}");
         // Only the newest record is gated: an old violation is history.
         let records = vec![
             backends_record(2, true, 0, 3),
             backends_record(0, false, 3, 3),
         ];
-        assert!(!compare_latest_backends(&records).unwrap().regressed);
+        assert!(!run("backends", &records).unwrap().regressed);
         // Each leg trips alone.
         for red in [
             backends_record(1, false, 3, 3),
             backends_record(0, true, 3, 3),
             backends_record(0, false, 2, 3),
         ] {
-            let c = compare_latest_backends(&[red]).unwrap();
+            let c = run("backends", &[red]).unwrap();
             assert!(c.regressed, "{c}");
             assert!(c.to_string().contains("REGRESSED"), "{c}");
         }
         // Masked injection (0/0 faults) is not a failure.
         assert!(
-            !compare_latest_backends(&[backends_record(0, false, 0, 0)])
+            !run("backends", &[backends_record(0, false, 0, 0)])
                 .unwrap()
                 .regressed
         );
@@ -1942,7 +1392,7 @@ mod tests {
     fn backends_compare_needs_a_record_with_full_fields() {
         let records = vec![soak_record(2, 100_000.0, 1.0, 4, 0)];
         assert_eq!(
-            compare_latest_backends(&records),
+            run("backends", &records),
             Err(CompareError::TooFewRecords {
                 found: 0,
                 experiments: "backends".to_owned()
@@ -1952,8 +1402,157 @@ mod tests {
             .with("experiments", "backends")
             .with("threads", 2u64)];
         assert_eq!(
-            compare_latest_backends(&bad),
+            run("backends", &bad),
             Err(CompareError::MissingField("contract_violations"))
         );
+    }
+
+    #[test]
+    fn too_few_records_names_the_command_that_writes_them() {
+        // The fairness records come from `repro serve-bench mt`; there is
+        // no `serve-bench-mt` subcommand.
+        let err = run("fairness", &[mt_record(4, 2000.0, 1.1)]).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("run `repro serve-bench mt` twice"), "{msg}");
+        assert!(msg.contains("need two valid"), "{msg}");
+        // The absolute gate needs a single record.
+        let msg = run("backends", &[]).unwrap_err().to_string();
+        assert!(msg.contains("need one valid"), "{msg}");
+        assert!(msg.contains("run `repro backends` once"), "{msg}");
+    }
+
+    #[test]
+    fn every_gate_ignores_zero_point_and_resumed_records() {
+        let records = vec![
+            serve_record(4, 400.0, 5000.0),
+            serve_record(4, 400.0, 5000.0),
+            serve_record(4, 9000.0, 10.0).with("csv_points", 0u64),
+            serve_record(4, 9000.0, 10.0).with("resumed", true),
+        ];
+        let c = run("serve-bench", &records).unwrap();
+        assert!(!c.regressed, "{c}");
+        let err = run(
+            "backends",
+            &[backends_record(1, true, 0, 3).with("resumed", true)],
+        );
+        assert_eq!(
+            err,
+            Err(CompareError::TooFewRecords {
+                found: 0,
+                experiments: "backends".to_owned()
+            })
+        );
+    }
+
+    #[test]
+    fn boundaries_sit_exactly_at_the_thresholds() {
+        // Growth: newer/older == 1 + t passes, anything above fails; an
+        // older 0 is ∞ growth unless the newer is 0 too.
+        let ok = run(
+            "hotpath",
+            &[hotpath_record(1, 4.0, 9.5), hotpath_record(1, 16.0, 9.5)],
+        );
+        assert!(!ok.unwrap().regressed);
+        let red = run(
+            "hotpath",
+            &[hotpath_record(1, 4.0, 9.5), hotpath_record(1, 16.5, 9.5)],
+        );
+        assert!(red.unwrap().regressed);
+        let zero = run(
+            "hotpath",
+            &[hotpath_record(1, 0.0, 9.5), hotpath_record(1, 0.0, 9.5)],
+        );
+        assert!(!zero.unwrap().regressed);
+        let inf = run(
+            "hotpath",
+            &[hotpath_record(1, 0.0, 9.5), hotpath_record(1, 1.0, 9.5)],
+        );
+        assert!(inf.unwrap().regressed);
+        // Throughput collapses only strictly below older / (1 + t), and
+        // never from a zero baseline.
+        let at = run(
+            "serve-bench",
+            &[serve_record(1, 1.0, 4000.0), serve_record(1, 1.0, 1000.0)],
+        );
+        assert!(!at.unwrap().regressed);
+        let below = run(
+            "serve-bench",
+            &[serve_record(1, 1.0, 4000.0), serve_record(1, 1.0, 999.0)],
+        );
+        assert!(below.unwrap().regressed);
+        let from_zero = run(
+            "serve-bench",
+            &[serve_record(1, 1.0, 0.0), serve_record(1, 1.0, 0.0)],
+        );
+        assert!(!from_zero.unwrap().regressed);
+        // Availability regresses only below the floor.
+        let floor = soak_record(2, 1.0, SOAK_AVAILABILITY_FLOOR, 4, 0);
+        let base = soak_record(2, 1.0, 1.0, 4, 0);
+        assert!(!run("soak", &[base.clone(), floor]).unwrap().regressed);
+        let dip = soak_record(2, 1.0, 0.9899, 4, 0);
+        assert!(run("soak", &[base, dip]).unwrap().regressed);
+        // Warm start regresses at warm == cold.
+        let base = restart_record(2, 900.0, 300.0, 1, 0, 0);
+        let equal = restart_record(2, 900.0, 900.0, 1, 0, 0);
+        let c = run("restart", &[base, equal]).unwrap();
+        assert!(c.regressed, "{c}");
+        // Detected == expected passes.
+        assert!(
+            !run("backends", &[backends_record(0, false, 3, 3)])
+                .unwrap()
+                .regressed
+        );
+        // Integer fields stay integers: a fractional count is missing.
+        let frac = soak_record(2, 1.0, 1.0, 4, 0).with("unhealed", 0.5);
+        let frac = Value::Obj(match frac {
+            Value::Obj(pairs) => pairs.into_iter().rev().collect(),
+            other => panic!("{other:?}"),
+        });
+        assert_eq!(
+            run("soak", &[soak_record(2, 1.0, 1.0, 4, 0), frac]),
+            Err(CompareError::MissingField("unhealed"))
+        );
+    }
+
+    #[test]
+    fn the_verdict_marks_the_failing_check() {
+        let records = vec![record("all", 2, 2.432), record("all", 2, 2.695)];
+        let line = run("all", &records).unwrap().to_string();
+        assert_eq!(
+            line,
+            "all: wall_s 2.432 -> 2.695 (+10.8 %, gate +10 %) FAIL (2 thread(s)): REGRESSED"
+        );
+        let c = run("backends", &[backends_record(0, true, 2, 3)]).unwrap();
+        assert_eq!(
+            c.to_string(),
+            "backends: contract_violations 0 (gate \u{2264} 0), reference_drift true \
+             (gate false) FAIL, faults_detected 2 (gate \u{2265} faults_expected 3) FAIL \
+             (2 thread(s)): REGRESSED"
+        );
+    }
+
+    #[test]
+    fn the_table_is_well_formed() {
+        for (i, g) in GATES.iter().enumerate() {
+            assert!(
+                GATES[..i].iter().all(|other| other.target != g.target),
+                "duplicate target {}",
+                g.target
+            );
+            // Records of one kind share one hint and one pairing, since
+            // the too-few-records message looks them up by kind.
+            let first = GATES.iter().find(|other| other.kind == g.kind).unwrap();
+            assert_eq!(
+                (first.run, first.pairing),
+                (g.run, g.pairing),
+                "{}",
+                g.target
+            );
+            for check in g.checks {
+                if let Rule::Growth(_) | Rule::Shrink(_) = check.rule {
+                    assert_eq!(g.pairing, Pairing::LatestTwo, "{}", g.target);
+                }
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Observability for the vardelay workspace — dependency-free, like
 //! everything else here.
 //!
-//! Three layers, from hot to cold:
+//! Four layers, from hot to cold, plus the shared hash:
 //!
 //! 1. **Metrics** ([`metrics`]): process-wide named [`Counter`]s,
 //!    streaming log₂-bucketed [`Histogram`]s (microsecond-scale by
@@ -15,12 +15,16 @@
 //!    `serde`; this is the one place JSON is read or written.
 //! 3. **Journal** ([`journal`]): an append-only JSONL benchmark journal
 //!    (`BENCH_repro.json`) — one record per `repro` run — with a loader
-//!    that also accepts the legacy single-object format, and a
-//!    [`journal::compare_latest`] regression gate used by
-//!    `repro compare` in CI.
+//!    that also accepts the legacy single-object format, and the
+//!    regression gates `repro compare` runs in CI: one declarative
+//!    [`journal::GATES`] table evaluated by [`journal::evaluate`].
 //! 4. **Artifacts** ([`artifact`]): crash-safe stage-fsync-rename file
-//!    publication and the FNV-1a content digest shared by repro
-//!    checkpoints and the serve layer's calibration snapshots.
+//!    publication and the content digest shared by repro checkpoints
+//!    and the serve layer's calibration snapshots.
+//!
+//! [`Fingerprint`] ([`fingerprint`]) is the workspace's one FNV-1a
+//! hasher: cache keys, artifact digests and serve routing all fold
+//! through it.
 //!
 //! # Examples
 //!
@@ -36,10 +40,12 @@
 //! ```
 
 pub mod artifact;
+pub mod fingerprint;
 pub mod journal;
 pub mod json;
 pub mod metrics;
 
+pub use fingerprint::Fingerprint;
 pub use metrics::{
     counter, enabled, histogram, registry, set_enabled, snapshot, span, Counter, Histogram,
     HistogramSummary, Registry, Snapshot, Span,

@@ -23,21 +23,12 @@ use std::time::Instant;
 use vardelay_backend::{make_backend, BackendKind, BackendSentinel, DelayBackend};
 use vardelay_core::config::ModelConfig;
 use vardelay_core::{CalibrationTable, SentinelConfig, SentinelVerdict};
+use vardelay_obs::Fingerprint;
 use vardelay_runner::{task_seed, Runner};
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte string.
+/// FNV-1a over a byte string (the unprefixed [`Fingerprint`] byte fold).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+    Fingerprint::new().push_bytes(bytes).finish()
 }
 
 /// The lane key a tenant label hashes to (per-tenant fair-queue lane).
@@ -89,20 +80,13 @@ impl HashRing {
 
     /// The ring position of a `(tenant, channel)` pair.
     fn route_key(tenant: &str, channel: usize) -> u64 {
-        let mut hash = FNV_OFFSET;
-        for &b in tenant.as_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
         // A separator byte keeps ("ab", 1) and ("a", ...) distinct, then
         // the channel index is folded in byte by byte.
-        hash ^= b'/' as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-        for b in (channel as u64).to_le_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash
+        Fingerprint::new()
+            .push_bytes(tenant.as_bytes())
+            .push_bytes(b"/")
+            .push_u64(channel as u64)
+            .finish()
     }
 }
 
@@ -464,6 +448,41 @@ impl std::fmt::Debug for BankRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hashes_and_routes_are_pinned_to_their_on_disk_values() {
+        // Snapshot/WAL digests on disk and 1-vs-4-shard routing depend on
+        // these exact values; any change to the fold breaks them.
+        use vardelay_obs::artifact::digest;
+        assert_eq!(fnv1a(b"tenant-a"), 0xc2ef_8128_e3eb_9efb);
+        assert_eq!(tenant_lane("default"), 0xebad_a516_8620_c5fe);
+        assert_eq!(tenant_lane("t15"), 0x5634_7d19_43bd_f579);
+        assert_eq!(HashRing::route_key("tenant-a", 3), 0xd94e_a0bc_9172_601f);
+        assert_eq!(HashRing::route_key("", 0), 0x59cd_815b_7838_35be);
+        assert_eq!(HashRing::route_key("default", 7), 0x55b9_9099_512e_cea4);
+        assert_eq!(HashRing::route_key("t15", 1), 0x7786_975a_e985_2383);
+        for (shards, want) in [
+            (
+                4,
+                "2012000222000000201200000012211200221221002222111022030000221022",
+            ),
+            (
+                5,
+                "2012400222000004201204000012211200221221002222111022030000221022",
+            ),
+        ] {
+            let ring = HashRing::new(shards);
+            let routes: String = (0..16)
+                .flat_map(|t| (0..4).map(move |c| (t, c)))
+                .map(|(t, c)| char::from(b'0' + ring.route(&format!("t{t}"), c) as u8))
+                .collect();
+            assert_eq!(routes, want, "{shards} shards");
+        }
+        assert_eq!(digest(""), 0xa8c7_f832_281a_39c5);
+        assert_eq!(digest("abc"), 0xc11a_b6d2_519b_c2b2);
+        assert_eq!(digest("x,y\n1,2\n"), 0xe25b_6ffd_19a7_d0ab);
+        assert_eq!(digest("\u{00b5}s"), 0x6a41_f3d0_6e2e_4618);
+    }
 
     #[test]
     fn the_ring_is_deterministic_and_covers_every_shard() {

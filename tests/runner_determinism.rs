@@ -106,9 +106,10 @@ fn two_all_runs_append_two_valid_journal_records() {
         );
         assert!(r.get("wall_s").and_then(Value::as_f64).is_some());
     }
-    let cmp = journal::compare_latest(&records, "all", journal::DEFAULT_THRESHOLD).unwrap();
-    assert_eq!(cmp.older_wall_s, 6.5);
-    assert_eq!(cmp.newer_wall_s, 6.4);
+    let cmp = journal::evaluate(journal::gate("all").unwrap(), &records).unwrap();
+    let wall = cmp.row("wall_s").unwrap();
+    assert_eq!(wall.older, Some(6.5));
+    assert_eq!(wall.newer, 6.4);
     assert!(!cmp.regressed, "{cmp}");
     std::fs::remove_file(&path).unwrap();
 }
