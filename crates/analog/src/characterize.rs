@@ -10,15 +10,13 @@
 //! frequency roll-off, and applying it per-edge on real data produces the
 //! data-dependent jitter the paper observes at 6.4 Gb/s.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::LazyLock;
 
 use crate::block::{AnalogBlock, EdgeTransform, TappedCascade};
 use crate::Fingerprint;
 use vardelay_measure::MeasureDelayError;
 use vardelay_obs as obs;
-use vardelay_runner::Runner;
+use vardelay_runner::{cache_enabled, Memo, Runner};
 use vardelay_siggen::{BitPattern, EdgeStream, SplitMix64};
 use vardelay_units::{BitRate, Time, Voltage};
 use vardelay_waveform::{pool, to_edge_stream, RenderConfig, Waveform};
@@ -393,42 +391,28 @@ fn measure_grid(
 // Characterization cache
 // ---------------------------------------------------------------------------
 
-/// One cache entry: a per-key single-flight slot. The first caller to
-/// reach `get_or_init` measures; racing callers for the same key block
-/// inside the `OnceLock` until the table exists instead of launching a
-/// duplicate `vctrls × intervals` waveform sweep (the cache-stampede
-/// bug: both racers used to measure *and* both counted a miss).
-type CacheSlot = Arc<OnceLock<Arc<DelayTable>>>;
-
-fn cache() -> &'static Mutex<HashMap<u64, CacheSlot>> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, CacheSlot>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static SINGLE_FLIGHT_WAITS: AtomicU64 = AtomicU64::new(0);
-
-fn cache_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var_os("VARDELAY_NO_CACHE").is_none())
-}
+static MEMO: LazyLock<Memo<u64, DelayTable>> = LazyLock::new(|| {
+    Memo::pure(
+        "analog.cache_hits",
+        "analog.cache_misses",
+        "analog.single_flight_waits",
+    )
+});
 
 /// `(hits, misses)` counters of the process-wide characterization cache.
 /// A miss is counted once per *measurement*, not once per caller — a
 /// racer that waited for another thread's in-flight measurement counts
 /// under [`characterization_single_flight_waits`] instead.
 pub fn characterization_cache_stats() -> (u64, u64) {
-    (
-        CACHE_HITS.load(Ordering::Relaxed),
-        CACHE_MISSES.load(Ordering::Relaxed),
-    )
+    let [hits, misses, ..] = MEMO.stats();
+    (hits, misses)
 }
 
 /// How many cache lookups blocked on another thread's in-flight
 /// measurement of the same key (and were spared a duplicate sweep).
 pub fn characterization_single_flight_waits() -> u64 {
-    SINGLE_FLIGHT_WAITS.load(Ordering::Relaxed)
+    let [_, _, waits, _] = MEMO.stats();
+    waits
 }
 
 /// Empties the characterization cache (counters are left running). Meant
@@ -436,7 +420,7 @@ pub fn characterization_single_flight_waits() -> u64 {
 /// waiting on an in-flight measurement keep their slot and complete
 /// normally; only future lookups start cold.
 pub fn clear_characterization_cache() {
-    cache().lock().expect("cache lock").clear();
+    MEMO.clear();
 }
 
 /// One `delay(vctrl, interval)` table per cascade depth from a single
@@ -449,9 +433,10 @@ pub fn clear_characterization_cache() {
 /// invalidation rule); the grid values and render settings are folded in
 /// here. A cached depth is cloned out and not re-measured; the rest are
 /// measured in one tapped sweep to the deepest of them, counting one miss
-/// per table. When every depth hits, `build` is never called. Disable
-/// with the `VARDELAY_NO_CACHE` environment variable (checked once per
-/// process): every call then measures every depth and stores nothing.
+/// per table, and racing families single-flight per depth. When every
+/// depth hits, `build` is never called. Disable with the
+/// `VARDELAY_NO_CACHE` environment variable (checked once per process):
+/// every call then measures every depth and stores nothing.
 ///
 /// # Panics
 ///
@@ -477,100 +462,29 @@ pub fn measure_delay_tables_cached_with(
         let all: Vec<usize> = (0..depths.len()).collect();
         return measure(&all);
     }
-    // The map lock is held only long enough to fetch/insert the per-key
-    // slots; the measurement itself runs inside the slots' `OnceLock`s,
-    // so misses on *different* keys never serialize each other, while
-    // racing misses on the *same* key single-flight: one thread measures,
-    // the rest block until the table exists.
-    let slots: Vec<CacheSlot> = {
-        let mut map = cache().lock().expect("cache lock");
-        model_keys
-            .iter()
-            .map(|&k| {
-                let key = grid_key(k, vctrls, intervals, render);
-                map.entry(key).or_default().clone()
-            })
-            .collect()
-    };
-    let mut fresh = vec![None; slots.len()];
-    claim_slots(&slots, 0, &mut Vec::new(), &mut fresh, &measure);
-    slots
-        .iter()
-        .map(|slot| DelayTable::clone(slot.get().expect("every slot is filled")))
-        .collect()
-}
-
-/// Measures the tables at the given key positions, in order.
-type Measure<'a> = dyn Fn(&[usize]) -> Vec<DelayTable> + 'a;
-
-/// Walks `slots[at..]` in order: a filled slot is a hit, an empty one is
-/// claimed by entering its `OnceLock` initializer and recursing from
-/// inside it, and one another thread is filling is waited on. Once every
-/// slot is visited, the claimed positions (`owned`) are measured in one
-/// call, and each initializer returns its own table on the way out.
-///
-/// Several slots stay claimed at once, so callers must visit any shared
-/// keys in the same order (a family's depths ascend) — then no two
-/// callers can each hold a slot the other waits on. A panicking
-/// measurement unwinds through every claimed initializer and leaves those
-/// slots empty for the next caller.
-fn claim_slots(
-    slots: &[CacheSlot],
-    at: usize,
-    owned: &mut Vec<usize>,
-    fresh: &mut [Option<Arc<DelayTable>>],
-    measure: &Measure<'_>,
-) {
-    let Some(slot) = slots.get(at) else {
-        if !owned.is_empty() {
-            let _span = obs::span("analog.characterize_miss_us");
-            for (&k, table) in owned.iter().zip(measure(owned)) {
-                fresh[k] = Some(Arc::new(table));
-            }
-        }
-        return;
-    };
-    if slot.get().is_some() {
-        CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        obs::counter("analog.cache_hits").incr();
-        return claim_slots(slots, at + 1, owned, fresh, measure);
-    }
-    let mut claimed = false;
-    slot.get_or_init(|| {
-        // Runs exactly once per slot no matter how many callers race, so
-        // the miss count equals the measurement count by construction.
-        claimed = true;
-        CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-        obs::counter("analog.cache_misses").incr();
-        owned.push(at);
-        claim_slots(slots, at + 1, owned, fresh, measure);
-        fresh[at].take().expect("claimed slot was measured")
+    let key = |&model_key: &u64| grid_key(model_key, vctrls, intervals, render);
+    let keys: Vec<u64> = model_keys.iter().map(key).collect();
+    let tables = MEMO.get_or_init(&keys, drop, |owned| {
+        let _span = obs::span("analog.characterize_miss_us");
+        measure(owned)
     });
-    if !claimed {
-        SINGLE_FLIGHT_WAITS.fetch_add(1, Ordering::Relaxed);
-        obs::counter("analog.single_flight_waits").incr();
-        claim_slots(slots, at + 1, owned, fresh, measure);
-    }
+    tables.iter().map(|t| DelayTable::clone(t)).collect()
 }
 
 /// The cache key of one table: the model key folded with the grid values
 /// and render settings.
 fn grid_key(model_key: u64, vctrls: &[Voltage], intervals: &[Time], render: &RenderConfig) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.push_u64(model_key);
-    fp.push_usize(vctrls.len());
-    for v in vctrls {
-        fp.push_f64(v.as_v());
-    }
-    fp.push_usize(intervals.len());
-    for i in intervals {
-        fp.push_f64(i.as_s());
-    }
-    fp.push_f64(render.dt.as_s())
+    let vctrls: Vec<f64> = vctrls.iter().map(|v| v.as_v()).collect();
+    let intervals: Vec<f64> = intervals.iter().map(|i| i.as_s()).collect();
+    Fingerprint::new()
+        .push_u64(model_key)
+        .push_f64_slice(&vctrls)
+        .push_f64_slice(&intervals)
+        .push_f64(render.dt.as_s())
         .push_f64(render.swing.as_v())
         .push_f64(render.rise_time.as_s())
-        .push_f64(render.padding.as_s());
-    fp.finish()
+        .push_f64(render.padding.as_s())
+        .finish()
 }
 
 /// A table-driven edge-domain delay element with per-edge random jitter —
@@ -681,6 +595,8 @@ mod tests {
     use super::*;
     use crate::tline::TransmissionLine;
     use crate::vga_buffer::{VgaBuffer, VgaBufferConfig};
+    use std::sync::atomic::Ordering;
+    use std::sync::Mutex;
 
     /// Tests that assert on the global hit/miss/wait counters must not
     /// interleave with other cache-touching tests in this binary.

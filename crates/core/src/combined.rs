@@ -157,8 +157,7 @@ impl CombinedDelayCircuit {
     /// the solve cache (`crate::solve`) memoizes it under. A repeat
     /// calibration of an identical channel skips the waveform simulation
     /// entirely and returns the byte-identical table; set
-    /// `VARDELAY_FAST_SOLVE=0` to force every solve through the full
-    /// sweep.
+    /// `VARDELAY_NO_CACHE` to force every solve through the full sweep.
     ///
     /// # Panics
     ///
@@ -178,7 +177,7 @@ impl CombinedDelayCircuit {
                     .lerp(self.fine.vctrl_max(), i as f64 / (points - 1) as f64)
             })
             .collect();
-        let table = if crate::solve::fast_solve_enabled() {
+        let table = if vardelay_runner::cache_enabled() {
             let mut fp = Fingerprint::new();
             fp.push_u64(self.config.quiet().fingerprint());
             fp.push_f64(interval.as_s());

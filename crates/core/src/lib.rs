@@ -70,7 +70,4 @@ pub use selftest::{
 pub use sentinel::{
     probe_indices, Sentinel, SentinelConfig, SentinelProbe, SentinelReport, SentinelVerdict,
 };
-pub use solve::{
-    clear_solve_cache, fast_solve_enabled, set_fast_solve_enabled, solve_cache_stats,
-    solve_fallbacks, solve_single_flight_waits,
-};
+pub use solve::{clear_solve_cache, solve_cache_stats, solve_fallbacks};

@@ -5,95 +5,51 @@
 //! simulation — and because each probe internally builds a fresh
 //! noise-free, seed-0 line from the quiet configuration, the whole sweep
 //! is a pure function of `(quiet-config fingerprint, interval, grid)`.
-//! This module memoizes that function: a repeat solve for the same
-//! fingerprint returns the cached [`CalibrationTable`] **byte-identical**
-//! to what a re-simulation would have produced, skipping the entire
-//! waveform sweep (EffiTest-style calibrated prediction instead of
-//! exhaustive re-measurement).
+//! This module memoizes that function in a [`Memo`]: a repeat solve for
+//! the same fingerprint returns the cached [`CalibrationTable`]
+//! **byte-identical** to what a re-simulation would have produced,
+//! skipping the entire waveform sweep (EffiTest-style calibrated
+//! prediction instead of exhaustive re-measurement).
 //!
 //! The slow path is kept as the authority: a cache miss runs the full
 //! simulation, and a cached table that is not strictly increasing (flat
 //! monotonized segments make the inversion ambiguous at the LSB level)
 //! falls back to a fresh measurement rather than trusting the cache.
 //!
-//! Disable with `VARDELAY_FAST_SOLVE=0` (or override in-process with
-//! [`set_fast_solve_enabled`]) to force every solve down the slow path —
-//! the CI determinism job `cmp`s `repro all` CSVs with the flag on and
-//! off to prove the paths byte-identical.
+//! `VARDELAY_NO_CACHE` forces every solve down the slow path (the check
+//! is in [`crate::CombinedDelayCircuit::calibrate_at_with`]) — the CI
+//! determinism job `cmp`s `repro all` CSVs with the memos on and off to
+//! prove the paths byte-identical.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::LazyLock;
 
 use crate::calibration::CalibrationTable;
 use vardelay_obs as obs;
+use vardelay_runner::Memo;
 
-/// One cache entry: a per-key single-flight slot, mirroring the
-/// characterization cache in `vardelay-analog` — the first caller to
-/// reach `get_or_init` measures; racing callers for the same key block
-/// until the table exists instead of launching a duplicate sweep.
-type SolveSlot = Arc<OnceLock<Arc<CalibrationTable>>>;
+static MEMO: LazyLock<Memo<u64, CalibrationTable>> = LazyLock::new(|| {
+    Memo::pure(
+        "core.solve_fast_hits",
+        "core.solve_fast_misses",
+        "core.solve_single_flight_waits",
+    )
+});
 
-fn cache() -> &'static Mutex<HashMap<u64, SolveSlot>> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, SolveSlot>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-static SOLVE_HITS: AtomicU64 = AtomicU64::new(0);
-static SOLVE_MISSES: AtomicU64 = AtomicU64::new(0);
-static SOLVE_SINGLE_FLIGHT_WAITS: AtomicU64 = AtomicU64::new(0);
 static SOLVE_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-
-/// 0 = undecided (consult the environment), 1 = on, 2 = off.
-static FAST_SOLVE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the fast path is active. Defaults to on; `VARDELAY_FAST_SOLVE`
-/// set to `0`, `off` or `false` disables it (checked on first use), and
-/// [`set_fast_solve_enabled`] overrides either way.
-pub fn fast_solve_enabled() -> bool {
-    match FAST_SOLVE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = match std::env::var("VARDELAY_FAST_SOLVE") {
-                Ok(v) => {
-                    let v = v.trim().to_ascii_lowercase();
-                    !(v == "0" || v == "off" || v == "false")
-                }
-                Err(_) => true,
-            };
-            FAST_SOLVE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Forces the fast path on or off for this process, overriding the
-/// environment — used by the equivalence tests to compare both paths in
-/// one binary.
-pub fn set_fast_solve_enabled(on: bool) {
-    FAST_SOLVE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
 
 /// `(hits, misses)` counters of the process-wide solve cache. A miss is
 /// counted once per *measurement*, not once per caller — racers that
-/// waited on an in-flight solve count under
-/// [`solve_single_flight_waits`] instead.
+/// waited on an in-flight solve count under the
+/// `core.solve_single_flight_waits` obs counter instead.
 pub fn solve_cache_stats() -> (u64, u64) {
-    (
-        SOLVE_HITS.load(Ordering::Relaxed),
-        SOLVE_MISSES.load(Ordering::Relaxed),
-    )
-}
-
-/// How many solve lookups blocked on another thread's in-flight sweep of
-/// the same key (and were spared a duplicate simulation).
-pub fn solve_single_flight_waits() -> u64 {
-    SOLVE_SINGLE_FLIGHT_WAITS.load(Ordering::Relaxed)
+    let [hits, misses, ..] = MEMO.stats();
+    (hits, misses)
 }
 
 /// How many cached tables were rejected (not strictly increasing) and
-/// re-measured through the slow path.
+/// re-measured through the slow path. The lookup that found the rejected
+/// table still counts as a hit or a wait.
 pub fn solve_fallbacks() -> u64 {
     SOLVE_FALLBACKS.load(Ordering::Relaxed)
 }
@@ -102,7 +58,7 @@ pub fn solve_fallbacks() -> u64 {
 /// and cold-start benchmarks. Threads already waiting on an in-flight
 /// solve keep their slot and complete normally.
 pub fn clear_solve_cache() {
-    cache().lock().expect("solve cache lock").clear();
+    MEMO.clear();
 }
 
 /// Returns the calibration table for `key`, measuring through `measure`
@@ -115,49 +71,22 @@ pub fn clear_solve_cache() {
 /// every time and are counted under [`solve_fallbacks`].
 pub(crate) fn solve_table_cached(
     key: u64,
-    measure: impl FnOnce() -> CalibrationTable,
+    measure: impl Fn() -> CalibrationTable,
 ) -> CalibrationTable {
-    // The map lock is held only long enough to fetch/insert the per-key
-    // slot; the sweep itself runs inside the slot's `OnceLock`, so misses
-    // on different keys never serialize each other.
-    let slot: SolveSlot = cache()
-        .lock()
-        .expect("solve cache lock")
-        .entry(key)
-        .or_default()
-        .clone();
-    if let Some(table) = slot.get() {
-        if table.is_strictly_increasing() {
-            SOLVE_HITS.fetch_add(1, Ordering::Relaxed);
-            obs::counter("core.solve_fast_hits").incr();
-            return CalibrationTable::clone(table);
-        }
-        // Non-monotone cached curve: don't trust the inversion, take the
-        // slow path afresh for this caller.
-        SOLVE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-        obs::counter("core.solve_fallbacks").incr();
-        return measure();
-    }
     let mut measured_here = false;
-    let mut measure = Some(measure);
-    let table = slot.get_or_init(|| {
+    let table = &MEMO.get_or_init(&[key], drop, |_| {
         measured_here = true;
-        SOLVE_MISSES.fetch_add(1, Ordering::Relaxed);
-        obs::counter("core.solve_fast_misses").incr();
         let _span = obs::span("core.solve_miss_us");
-        Arc::new((measure.take().expect("init closure runs once"))())
-    });
-    if !measured_here {
-        SOLVE_SINGLE_FLIGHT_WAITS.fetch_add(1, Ordering::Relaxed);
-        obs::counter("core.solve_single_flight_waits").incr();
-        if !table.is_strictly_increasing() {
-            // Same policy as the hit path: never serve a degenerate curve.
-            SOLVE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-            obs::counter("core.solve_fallbacks").incr();
-            return (measure.take().expect("not consumed by init"))();
-        }
+        vec![measure()]
+    })[0];
+    if measured_here || table.is_strictly_increasing() {
+        return CalibrationTable::clone(table);
     }
-    CalibrationTable::clone(table)
+    // A degenerate curve someone else measured: don't trust the
+    // inversion, take the slow path afresh for this caller.
+    SOLVE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
+    obs::counter("core.solve_fallbacks").incr();
+    measure()
 }
 
 #[cfg(test)]
@@ -204,13 +133,5 @@ mod tests {
         assert_eq!(again, flat);
         assert_eq!(calls.load(Ordering::Relaxed), 1, "fallback re-measures");
         assert!(solve_fallbacks() > fallbacks_before);
-    }
-
-    #[test]
-    fn env_override_wins() {
-        set_fast_solve_enabled(false);
-        assert!(!fast_solve_enabled());
-        set_fast_solve_enabled(true);
-        assert!(fast_solve_enabled());
     }
 }

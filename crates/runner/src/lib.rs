@@ -49,6 +49,9 @@ use std::time::{Duration, Instant};
 use vardelay_obs as obs;
 use vardelay_siggen::SplitMix64;
 
+mod memo;
+pub use memo::{cache_enabled, Memo};
+
 /// Error describing one failed task in a fallible batch run through
 /// [`Runner::try_run`] or [`Runner::run_with_deadline`].
 ///

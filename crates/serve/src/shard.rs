@@ -10,13 +10,13 @@
 //!   that exceeds its refill rate draws `overloaded` at admission while
 //!   every other tenant's bucket is untouched.
 //! * [`BankRegistry`] instantiates per-tenant calibration banks lazily
-//!   (single-flight per tenant, same discipline as the characterization
-//!   cache) and evicts the least-recently-used bank past the cap. All
-//!   banks share one model fingerprint, so eviction is cheap to undo:
-//!   re-admission re-calibrates through the fast-solve cache instead of
-//!   re-sweeping.
+//!   (single-flight per tenant, in the same [`Memo`] as the
+//!   characterization and solve caches) and evicts the least-recently-used
+//!   bank past the cap. All banks share one model fingerprint, so eviction
+//!   is cheap to undo: re-admission re-calibrates through the solve cache
+//!   instead of re-sweeping.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -24,7 +24,7 @@ use vardelay_backend::{make_backend, BackendKind, BackendSentinel, DelayBackend}
 use vardelay_core::config::ModelConfig;
 use vardelay_core::{CalibrationTable, SentinelConfig, SentinelVerdict};
 use vardelay_obs::Fingerprint;
-use vardelay_runner::{task_seed, Runner};
+use vardelay_runner::{task_seed, Memo, Runner};
 
 /// FNV-1a over a byte string (the unprefixed [`Fingerprint`] byte fold).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -272,7 +272,7 @@ impl TenantBank {
         // the process's very first calibration pays a full sweep (which
         // itself parallelizes through the same runner); every later
         // bank (lazy tenants, LRU re-admissions, rejected snapshots) is
-        // served the byte-identical table from the fast-solve cache.
+        // served the byte-identical table from the solve cache.
         let mut bank = Vec::with_capacity(channels);
         let mut restored = vec![false; channels];
         for (ch, (mut backend, trusted)) in verified.into_iter().enumerate() {
@@ -301,25 +301,15 @@ impl std::fmt::Debug for TenantBank {
     }
 }
 
-/// Lazily-populated, LRU-evicted map of [`BankId`] → calibrated bank.
-///
-/// Each slot is an `Arc<OnceLock<..>>` so concurrent first requests for
-/// the same bank single-flight the calibration (the builder runs
-/// outside the registry lock; losers of the race block on the
-/// `OnceLock`, not on the whole registry).
+/// Lazily-populated, LRU-evicted map of [`BankId`] → calibrated bank,
+/// held in a [`Memo`]: concurrent first requests for the same bank
+/// single-flight the calibration outside the registry lock.
 pub struct BankRegistry {
     model: ModelConfig,
     channels: usize,
     seed: u64,
-    cap: usize,
     hooks: OnceLock<Arc<dyn BankHooks>>,
-    inner: Mutex<RegistryInner>,
-}
-
-struct RegistryInner {
-    slots: HashMap<BankId, Arc<OnceLock<Arc<TenantBank>>>>,
-    /// Least-recently-used first. Invariant: same keys as `slots`.
-    lru: VecDeque<BankId>,
+    banks: Memo<BankId, TenantBank>,
 }
 
 impl BankRegistry {
@@ -329,12 +319,8 @@ impl BankRegistry {
             model,
             channels,
             seed,
-            cap: cap.max(1),
             hooks: OnceLock::new(),
-            inner: Mutex::new(RegistryInner {
-                slots: HashMap::new(),
-                lru: VecDeque::new(),
-            }),
+            banks: Memo::new(cap, ["", "serve.bank_builds", "", "serve.bank_evictions"]),
         }
     }
 
@@ -347,11 +333,7 @@ impl BankRegistry {
 
     /// Banks currently resident.
     pub fn resident(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .slots
-            .len()
+        self.banks.resident()
     }
 
     /// The bank for `id`, calibrating it on first touch and refreshing
@@ -359,79 +341,42 @@ impl BankRegistry {
     /// reference — in-flight requests holding the `Arc` finish on the
     /// evicted bank safely.
     pub fn get(&self, id: &BankId, runner: Runner) -> Arc<TenantBank> {
-        let (slot, evicted) = {
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.lru.retain(|t| t != id);
-            let slot = match inner.slots.get(id) {
-                Some(slot) => Arc::clone(slot),
-                None => {
-                    let slot = Arc::new(OnceLock::new());
-                    inner.slots.insert(id.clone(), Arc::clone(&slot));
-                    slot
-                }
-            };
-            inner.lru.push_back(id.clone());
-            let mut evicted = Vec::new();
-            while inner.lru.len() > self.cap {
-                if let Some(cold) = inner.lru.pop_front() {
-                    if let Some(dropped) = inner.slots.remove(&cold) {
-                        // A slot still mid-build has nothing to persist.
-                        if let Some(bank) = dropped.get() {
-                            evicted.push((cold, Arc::clone(bank)));
-                        }
-                    }
-                    vardelay_obs::counter("serve.bank_evictions").add(1);
+        let hooks = self.hooks.get();
+        let evicted = |cold: Vec<(BankId, Arc<TenantBank>)>| {
+            // Eviction hooks run outside the registry lock: persisting a
+            // bank takes its per-channel locks, and a request may be
+            // mid-solve on one of them.
+            if let Some(hooks) = hooks {
+                for (id, bank) in &cold {
+                    hooks.evicted(id, bank);
                 }
             }
-            (slot, evicted)
         };
-        // Eviction hooks run outside the registry lock: persisting a
-        // bank takes its per-channel locks, and a request may be
-        // mid-solve on one of them.
-        if let Some(hooks) = self.hooks.get() {
-            for (cold, bank) in &evicted {
-                hooks.evicted(cold, bank);
-            }
-        }
-        Arc::clone(slot.get_or_init(|| {
-            vardelay_obs::counter("serve.bank_builds").add(1);
-            let (bank, restored) = TenantBank::build(
-                &self.model,
-                self.channels,
-                self.seed,
-                runner,
-                self.hooks.get(),
-                id,
-            );
-            let bank = Arc::new(bank);
-            if let Some(hooks) = self.hooks.get() {
+        let build = |_: &[usize]| {
+            let (bank, restored) =
+                TenantBank::build(&self.model, self.channels, self.seed, runner, hooks, id);
+            if let Some(hooks) = hooks {
                 hooks.built(id, &bank, &restored);
             }
-            bank
-        }))
+            vec![bank]
+        };
+        self.banks
+            .get_or_init(std::slice::from_ref(id), evicted, build)
+            .remove(0)
     }
 
     /// The bank for `id` if it is already resident *and* built — no
     /// calibration, no LRU refresh. The health supervisor and drift
     /// injection use this so observation never changes eviction order.
     pub fn peek(&self, id: &BankId) -> Option<Arc<TenantBank>> {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.slots.get(id)?.get().cloned()
+        self.banks.peek(id)
     }
 
     /// Every resident, fully-built bank with its identity, in LRU
     /// order (coldest first). Slots still mid-build are skipped — the
     /// supervisor has nothing to probe there yet.
     pub fn snapshot(&self) -> Vec<(BankId, Arc<TenantBank>)> {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner
-            .lru
-            .iter()
-            .filter_map(|id| {
-                let bank = inner.slots.get(id)?.get()?;
-                Some((id.clone(), Arc::clone(bank)))
-            })
-            .collect()
+        self.banks.entries()
     }
 }
 
@@ -439,7 +384,7 @@ impl std::fmt::Debug for BankRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BankRegistry")
             .field("channels", &self.channels)
-            .field("cap", &self.cap)
+            .field("cap", &self.banks.cap())
             .field("resident", &self.resident())
             .finish()
     }
