@@ -21,29 +21,31 @@
 //!                 # serve-bench records when the journal has them, the
 //!                 # multi-tenant fairness/p99.9 gate once two
 //!                 # serve-bench-mt records exist, and the hot-path
-//!                 # dimensions (per-request p99 solve time,
-//!                 # allocations per request) once two instrumented
-//!                 # `all` records exist
+//!                 # dimensions (p99 solve time, buffer-pool
+//!                 # allocations per run) once two instrumented `all`
+//!                 # records exist
 //! repro serve     # the delay-control server (DESIGN.md §12): listens
 //!                 # on VARDELAY_SERVE_ADDR until a wire `shutdown`,
 //!                 # then drains and appends a serve-drain record
-//! repro serve-bench [mt]
+//! repro serve-bench [mt [--hot-tenant N]]
 //!                 # seeded open-loop load generator; appends a
 //!                 # serve-bench latency/throughput journal record.
 //!                 # `mt` runs the multi-tenant campaign instead (16
 //!                 # tenants × 2 clients, per-tenant throughput and
 //!                 # max/min fairness ratio, p99.9) and appends a
-//!                 # serve-bench-mt record; VARDELAY_BENCH_HOT_TENANT=N
+//!                 # serve-bench-mt record; `--hot-tenant N` (0..15)
 //!                 # injects a 10× hot tenant for the starved-tenant
 //!                 # gate check
-//! repro soak      # the self-healing chaos campaign (DESIGN.md §15):
+//! repro soak [--no-recal]
+//!                 # the self-healing chaos campaign (DESIGN.md §15):
 //!                 # drift incidents + network chaos against a live
 //!                 # server under load; measures detection latency,
 //!                 # MTTR, and healthy-channel availability and appends
 //!                 # a `soak` record for `repro compare soak`.
 //!                 # VARDELAY_FAULTS=0 masks the injection (quiet run,
-//!                 # no record); VARDELAY_SERVE_RECAL=0 sabotages
-//!                 # healing so the gate's red leg is provable
+//!                 # no record); `--no-recal` sabotages healing (with a
+//!                 # 5 s per-incident budget) so the gate's red leg is
+//!                 # provable
 //! repro restart   # the durable-serving campaign (DESIGN.md §16):
 //!                 # cold boot → program delays with retry ids →
 //!                 # crash-shaped stop → warm boot on the same state
@@ -61,6 +63,9 @@
 //!                 # backends_compare.csv and appends a `backends`
 //!                 # record for `repro compare backends`
 //! ```
+//!
+//! Every subcommand rejects an unknown or extra argument with exit 2 and
+//! this usage, so a mistyped flag can never run a green campaign.
 //!
 //! After each experiment a checkpoint (input fingerprint + CSV digests)
 //! lands under `target/repro/checkpoints/`; `--resume` skips experiments
@@ -81,8 +86,8 @@ use vardelay_analog::{characterization_cache_stats, characterization_single_flig
 use vardelay_ate::report::{deskew_summary, deskew_table};
 use vardelay_bench::checkpoint::{checkpoint_dir, Checkpoint, CsvRecord};
 use vardelay_bench::{
-    ablation, backends_campaign, checkpoint, eyes, faults_campaign, fine_delay, injection,
-    serve_bench, skew, try_output_dir,
+    ablation, backends_campaign, checkpoint, eyes, faults_campaign, fine_delay, injection, restart,
+    serve_bench, skew, soak, try_output_dir,
 };
 use vardelay_measure::report::fmt_ps;
 use vardelay_measure::{Series, Table};
@@ -558,23 +563,21 @@ fn write_runtime_record(arg: &str, wall_s: f64, timings: &[(String, f64)], resum
             .with("solve_hits", solve_hits)
             .with("solve_misses", solve_misses)
             .with("solve_fallbacks", vardelay_core::solve_fallbacks());
-        // The hot-path dimensions (per-request p99 solve time and
-        // allocations per solve request) come from the obs registry, so
-        // a `VARDELAY_OBS=0` run simply omits them — the hotpath compare
+        // The hot-path dimensions (p99 solve time and the run's
+        // buffer-pool allocations) come from the obs registry, so a
+        // `VARDELAY_OBS=0` run simply omits them — the hotpath compare
         // gate skips uninstrumented records.
         let solve = obs::histogram("core.solve_us").summary();
         if solve.count > 0 {
-            let allocs = obs::counter("waveform.pool_allocs").get();
-            record = record.with("solve_p99_us", solve.p99).with(
-                "allocs_per_request",
-                ((allocs as f64 / solve.count as f64) * 1000.0).round() / 1000.0,
-            );
+            let pool_allocs = obs::counter("waveform.pool_allocs").get();
+            record = record
+                .with("solve_p99_us", solve.p99)
+                .with("pool_allocs", pool_allocs);
             println!(
-                "hotpath: {} solve(s), p99 {} \u{00b5}s, {:.1} allocs/request \
+                "hotpath: {} solve(s), p99 {} \u{00b5}s, {pool_allocs} pool allocs \
                  ({} pool reuses)",
                 solve.count,
                 solve.p99,
-                allocs as f64 / solve.count as f64,
                 obs::counter("waveform.pool_reuses").get()
             );
         }
@@ -653,14 +656,10 @@ fn run_compare(target: Option<&str>) -> ! {
 /// a `serve-drain` record to the journal (so the CI smoke job can
 /// assert the drain flushed its counters).
 fn run_serve() -> ! {
-    let config = vardelay_serve::ServeConfig::from_env();
-    let handle = match vardelay_serve::serve(config) {
-        Ok(handle) => handle,
-        Err(e) => {
-            eprintln!("repro serve: {e}");
-            std::process::exit(2);
-        }
-    };
+    let handle = or_exit(
+        "serve",
+        vardelay_serve::serve(vardelay_serve::ServeConfig::from_env()),
+    );
     println!("repro serve: listening on {}", handle.addr());
     let report = handle.join();
     println!("repro serve: {report}");
@@ -677,10 +676,25 @@ fn run_serve() -> ! {
         .with("deadline_exceeded", report.stats.deadline_exceeded)
         .with("internal_errors", report.stats.internal_errors)
         .with("batched", report.stats.batched);
-    if let Err(e) = journal::append(Path::new(JOURNAL_PATH), &record) {
-        eprintln!("repro serve: could not append to {JOURNAL_PATH}: {e}");
+    append_and_exit("serve", &record)
+}
+
+/// Unwraps a subcommand's result, or reports the error and exits 2.
+fn or_exit<T>(command: &str, result: std::io::Result<T>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("repro {command}: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// Appends a subcommand's `record` to the journal and exits 0, or 1
+/// when the append fails.
+fn append_and_exit(command: &str, record: &Value) -> ! {
+    if let Err(e) = journal::append(Path::new(JOURNAL_PATH), record) {
+        eprintln!("repro {command}: could not append to {JOURNAL_PATH}: {e}");
         std::process::exit(1);
     }
+    println!("repro {command}: record appended [journal: {JOURNAL_PATH}]");
     std::process::exit(0);
 }
 
@@ -690,24 +704,31 @@ fn run_serve() -> ! {
 /// (sharded per `VARDELAY_SERVE_SHARDS`, default 4, for the `mt`
 /// campaign), drives it, and drains it. The single-tenant run appends a
 /// `serve-bench` record; `mt` runs the seeded multi-tenant campaign and
-/// appends a `serve-bench-mt` record for the fairness gate.
-fn run_serve_bench(mode: Option<&str>) -> ! {
-    let mt = match mode {
-        None => false,
-        Some("mt") => true,
-        Some(other) => {
-            eprintln!("repro serve-bench: unknown mode {other:?} (expected \"mt\" or nothing)");
-            std::process::exit(2);
+/// appends a `serve-bench-mt` record for the fairness gate;
+/// `--hot-tenant N` injects the starved-tenant hog.
+fn run_serve_bench(args: &[String]) -> ! {
+    let tenants = serve_bench::MtLoadConfig::default().tenants;
+    let (mt, hot_tenant) = match args {
+        [] => (false, None),
+        [mode] if mode == "mt" => (true, None),
+        [mode, flag, n] if mode == "mt" && flag == "--hot-tenant" => {
+            match n.parse::<usize>().ok().filter(|&t| t < tenants) {
+                Some(t) => (true, Some(t)),
+                None => usage_exit(&format!(
+                    "--hot-tenant takes a tenant index in 0..{tenants}, got {n:?}"
+                )),
+            }
         }
+        _ => usage_exit(&format!("bad serve-bench arguments {args:?}")),
     };
     let drive = |addr: std::net::SocketAddr| -> std::io::Result<(String, Value)> {
         if mt {
-            let config = serve_bench::MtLoadConfig::from_env();
-            if let Some(hot) = config.hot_tenant {
-                println!(
-                    "repro serve-bench: hot-tenant injection on tenant {hot} \
-                     (VARDELAY_BENCH_HOT_TENANT)"
-                );
+            let config = serve_bench::MtLoadConfig {
+                hot_tenant,
+                ..Default::default()
+            };
+            if let Some(hot) = hot_tenant {
+                println!("repro serve-bench: hot-tenant injection on tenant {hot}");
             }
             serve_bench::run_mt_load(addr, &config)
                 .map(|report| (report.summary(), report.record(&git_describe(), unix_ms())))
@@ -743,13 +764,7 @@ fn run_serve_bench(mode: Option<&str>) -> ! {
                     .filter(|&n| n > 0)
                     .unwrap_or(4);
             }
-            let handle = match vardelay_serve::serve(config) {
-                Ok(handle) => handle,
-                Err(e) => {
-                    eprintln!("repro serve-bench: {e}");
-                    std::process::exit(2);
-                }
-            };
+            let handle = or_exit("serve-bench", vardelay_serve::serve(config));
             println!(
                 "repro serve-bench: in-process server on {} (set VARDELAY_SERVE_ADDR to \
                  drive an external one)",
@@ -762,20 +777,9 @@ fn run_serve_bench(mode: Option<&str>) -> ! {
             result
         }
     };
-    let (summary, record) = match result {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("repro serve-bench: load generator failed: {e}");
-            std::process::exit(2);
-        }
-    };
+    let (summary, record) = or_exit("serve-bench", result);
     println!("{summary}");
-    if let Err(e) = journal::append(Path::new(JOURNAL_PATH), &record) {
-        eprintln!("repro serve-bench: could not append to {JOURNAL_PATH}: {e}");
-        std::process::exit(1);
-    }
-    println!("repro serve-bench: record appended [journal: {JOURNAL_PATH}]");
-    std::process::exit(0);
+    append_and_exit("serve-bench", &record)
 }
 
 /// `repro soak` — the self-healing chaos campaign (DESIGN.md §15).
@@ -786,15 +790,14 @@ fn run_serve_bench(mode: Option<&str>) -> ! {
 /// (`VARDELAY_FAULTS=0`) soaks load only and appends **no** record — a
 /// campaign that injected nothing has no healing measurement, and a
 /// zero-point record would only pollute the MTTR trajectory.
-fn run_soak() -> ! {
-    let config = vardelay_bench::soak::SoakConfig::from_env();
-    let report = match vardelay_bench::soak::run_soak(&config) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("repro soak: campaign failed: {e}");
-            std::process::exit(2);
-        }
+/// `--no-recal` sabotages healing for the gate's red leg.
+fn run_soak(args: &[String]) -> ! {
+    let config = match args {
+        [] => soak::SoakConfig::default(),
+        [flag] if flag == "--no-recal" => soak::SoakConfig::no_recal(),
+        _ => usage_exit(&format!("bad soak arguments {args:?}")),
     };
+    let report = or_exit("soak", soak::run_soak(&config));
     println!("{}", report.summary());
     if !report.faults_enabled {
         println!(
@@ -803,13 +806,7 @@ fn run_soak() -> ! {
         );
         std::process::exit(0);
     }
-    let record = report.record(&git_describe(), unix_ms());
-    if let Err(e) = journal::append(Path::new(JOURNAL_PATH), &record) {
-        eprintln!("repro soak: could not append to {JOURNAL_PATH}: {e}");
-        std::process::exit(1);
-    }
-    println!("repro soak: record appended [journal: {JOURNAL_PATH}]");
-    std::process::exit(0);
+    append_and_exit("soak", &report.record(&git_describe(), unix_ms()))
 }
 
 /// `repro restart` — the durable-serving campaign (DESIGN.md §16).
@@ -820,22 +817,12 @@ fn run_soak() -> ! {
 /// still appends — the cold/warm measurement needs no injection; only
 /// the snapshot-sabotage leg is skipped.
 fn run_restart() -> ! {
-    let config = vardelay_bench::restart::RestartConfig::from_env();
-    let report = match vardelay_bench::restart::run_restart(&config) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("repro restart: campaign failed: {e}");
-            std::process::exit(2);
-        }
-    };
+    let report = or_exit(
+        "restart",
+        restart::run_restart(&restart::RestartConfig::default()),
+    );
     println!("{}", report.summary());
-    let record = report.record(&git_describe(), unix_ms());
-    if let Err(e) = journal::append(Path::new(JOURNAL_PATH), &record) {
-        eprintln!("repro restart: could not append to {JOURNAL_PATH}: {e}");
-        std::process::exit(1);
-    }
-    println!("repro restart: record appended [journal: {JOURNAL_PATH}]");
-    std::process::exit(0);
+    append_and_exit("restart", &report.record(&git_describe(), unix_ms()))
 }
 
 /// `repro backends` — the cross-backend comparison campaign
@@ -923,16 +910,18 @@ fn parse_selection(arg: &str) -> Result<Vec<Experiment>, String> {
     Ok(picked)
 }
 
-fn usage_exit(unknown: &str) -> ! {
+/// Prints `problem` and the usage, then exits 2.
+fn usage_exit(problem: &str) -> ! {
     let names = EXPERIMENTS
         .iter()
         .map(|(n, _)| *n)
         .collect::<Vec<_>>()
         .join(" ");
     eprintln!(
-        "unknown experiment {unknown:?}; usage: repro [all|<name>[,<name>...]] [--resume] | \
+        "repro: {problem}\nusage: repro [all|<name>[,<name>...]] [--resume] | \
          compare [all|serve-bench|fairness|hotpath|soak|restart|backends] | serve | \
-         serve-bench [mt] | soak | restart | backends\n  names: {names}"
+         serve-bench [mt [--hot-tenant N]] | soak [--no-recal] | restart | backends\n  \
+         names: {names}"
     );
     std::process::exit(2);
 }
@@ -970,14 +959,20 @@ fn run_experiment(name: &str, f: fn(), budget: Option<Duration>) -> bool {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("compare") => run_compare(args.get(1).map(String::as_str)),
-        Some("serve") => run_serve(),
-        Some("serve-bench") => run_serve_bench(args.get(1).map(String::as_str)),
-        Some("soak") => run_soak(),
-        Some("restart") => run_restart(),
-        Some("backends") => run_backends(),
-        _ => {}
+    if let Some((command, rest)) = args.split_first() {
+        match (command.as_str(), rest) {
+            ("compare", []) => run_compare(None),
+            ("compare", [target]) => run_compare(Some(target)),
+            ("serve", []) => run_serve(),
+            ("serve-bench", _) => run_serve_bench(rest),
+            ("soak", _) => run_soak(rest),
+            ("restart", []) => run_restart(),
+            ("backends", []) => run_backends(),
+            ("compare" | "serve" | "restart" | "backends", _) => {
+                usage_exit(&format!("bad {command} arguments {rest:?}"))
+            }
+            _ => {}
+        }
     }
     let mut resume = false;
     let mut selection_arg: Option<String> = None;
@@ -985,13 +980,14 @@ fn main() {
         match arg.as_str() {
             "--resume" => resume = true,
             "compare" => run_compare(None),
-            _ if arg.starts_with('-') => usage_exit(&arg),
-            _ if selection_arg.is_some() => usage_exit(&arg),
+            _ if arg.starts_with('-') => usage_exit(&format!("unknown flag {arg:?}")),
+            _ if selection_arg.is_some() => usage_exit(&format!("extra argument {arg:?}")),
             _ => selection_arg = Some(arg),
         }
     }
     let arg = selection_arg.unwrap_or_else(|| "all".to_owned());
-    let selection = parse_selection(&arg).unwrap_or_else(|unknown| usage_exit(&unknown));
+    let selection = parse_selection(&arg)
+        .unwrap_or_else(|unknown| usage_exit(&format!("unknown experiment {unknown:?}")));
 
     // A previous run killed mid-write can only leave `.tmp` stage files
     // behind (renames are atomic); clear them before producing output.

@@ -22,6 +22,7 @@ pub mod eyes;
 pub mod faults_campaign;
 pub mod fine_delay;
 pub mod injection;
+pub mod load;
 pub mod restart;
 pub mod serve_bench;
 pub mod skew;

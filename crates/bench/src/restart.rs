@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use vardelay_obs::json::Value;
-use vardelay_serve::{serve, Client, Envelope, Request, Response, ServeConfig, ServerHandle};
+use vardelay_serve::{serve, Client, Envelope, Request, ServeConfig, ServerHandle};
 use vardelay_siggen::SplitMix64;
 
 use crate::EXPERIMENT_SEED;
@@ -64,22 +64,6 @@ impl Default for RestartConfig {
             state_dir: None,
             seed: EXPERIMENT_SEED,
         }
-    }
-}
-
-impl RestartConfig {
-    /// The default campaign with the request count taken from
-    /// `VARDELAY_RESTART_REQUESTS` when set.
-    pub fn from_env() -> Self {
-        let mut config = RestartConfig::default();
-        if let Some(n) = std::env::var("VARDELAY_RESTART_REQUESTS")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-        {
-            config.requests = n;
-        }
-        config
     }
 }
 
@@ -209,21 +193,6 @@ fn durable_config(dir: &Path) -> ServeConfig {
     config
 }
 
-fn stats(client: &mut Client, id: u64) -> std::io::Result<vardelay_serve::StatsReply> {
-    let (_, response) = client.call(&Envelope {
-        id: Some(id),
-        deadline_ms: None,
-        tenant: None,
-        req_id: None,
-        backend: None,
-        request: Request::Stats,
-    })?;
-    match response {
-        Response::Stats(stats) => Ok(stats),
-        other => Err(std::io::Error::other(format!("stats drew {other:?}"))),
-    }
-}
-
 /// Drains the listener but drops the handle without `join()`, so the
 /// parting WAL compaction never runs — the crash-shaped stop the warm
 /// boot must recover from.
@@ -342,10 +311,10 @@ pub fn run_restart(config: &RestartConfig) -> std::io::Result<RestartReport> {
     let handle = serve(durable_config(&dir))?;
     let warm_start_us = t1.elapsed().as_micros() as u64;
     let mut probe = Client::connect(handle.addr())?;
-    let warm_stats = stats(&mut probe, 9_000)?;
+    let warm_stats = probe.stats()?;
     let replay = wire_session(handle.addr(), &retried)?;
     let mut replay_mismatches = count_mismatches(&before, &replay);
-    let dedup_hits = stats(&mut probe, 9_001)?.dedup_hits;
+    let dedup_hits = probe.stats()?.dedup_hits;
     let solved = wire_session(handle.addr(), &fresh)?;
     replay_mismatches += count_mismatches(&before, &solved);
     handle.shutdown();
@@ -357,7 +326,7 @@ pub fn run_restart(config: &RestartConfig) -> std::io::Result<RestartReport> {
     if faults_enabled && corrupt_one_snapshot(&dir)? {
         let handle = serve(durable_config(&dir))?;
         let mut probe = Client::connect(handle.addr())?;
-        sabotage_recalibrated = stats(&mut probe, 9_002)?.banks_recalibrated;
+        sabotage_recalibrated = probe.stats()?.banks_recalibrated;
         let answers = wire_session(handle.addr(), &fresh)?;
         replay_mismatches += count_mismatches(&before, &answers);
         handle.shutdown();

@@ -1,30 +1,26 @@
-//! `repro serve-bench`: the in-process load generator and SLO record.
+//! `repro serve-bench`: the serving SLO records.
 //!
-//! Drives a `vardelay-serve` instance with `N` client threads on an
-//! **open-loop** arrival schedule: each client's send times are fixed
-//! up front from seeded exponential gaps ([`vardelay_runner::task_seed`]
-//! per client) and never react to server speed — a client that falls
-//! behind its schedule (because responses are slow) stops sleeping and
-//! fires back-to-back until it catches up, so a slow server faces
-//! *more* concurrent pressure, not politely reduced load. Latency is
+//! Both campaigns are cases of the one [`load`](crate::load) driver on
+//! an **open-loop** arrival schedule: `serve-bench` is `N` untagged
+//! clients, `serve-bench mt` is 16 tenants of 2 clients each. Latency is
 //! measured send→response per request; backlog the server accumulates
-//! under that pressure lands in the tail quantiles.
+//! under open-loop pressure lands in the tail quantiles.
 //!
-//! Latencies land in a local obs log₂ [`Histogram`]; the resulting
-//! p50/p95/p99 plus throughput and per-kind response counts become a
-//! `serve-bench` journal record, gated by `repro compare` via
-//! the `serve-bench` row of [`vardelay_obs::journal::GATES`].
+//! Latencies land in a local obs log₂ histogram; the resulting
+//! quantiles plus throughput and per-kind response counts become a
+//! `serve-bench` (or `serve-bench-mt`) journal record, gated by
+//! `repro compare` via the `serve-bench` and `fairness` rows of
+//! [`vardelay_obs::journal::GATES`].
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::atomic::AtomicBool;
+use std::time::Duration;
 
 use vardelay_obs::json::Value;
-use vardelay_obs::Histogram;
-use vardelay_runner::task_seed;
-use vardelay_serve::{Client, Envelope, ErrorKind, Request, Response};
+use vardelay_serve::{Client, Request, StatsReply};
 use vardelay_siggen::SplitMix64;
 
+use crate::load::{self, tenant_label, ClientSpec, LoadPlan, Pacing, Tally};
 use crate::EXPERIMENT_SEED;
 
 /// Load shape. [`Default`] is the smoke load CI runs: 4 clients × 100
@@ -54,31 +50,13 @@ impl Default for LoadConfig {
     }
 }
 
-/// What the load run measured.
+/// What the load run measured: the driver's response counts plus the
+/// latency quantiles and the server's worker count.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
-    /// Requests sent (and responses received — strict request/response).
-    pub requests: u64,
-    /// Successful responses.
-    pub ok: u64,
-    /// `parse_error` responses (must be 0 — the generator sends only
-    /// well-formed lines).
-    pub parse_errors: u64,
-    /// `bad_request` responses (must be 0 likewise).
-    pub bad_requests: u64,
-    /// `overloaded` responses.
-    pub overloaded: u64,
-    /// `deadline_exceeded` responses.
-    pub deadline_exceeded: u64,
-    /// `internal` responses.
-    pub internal_errors: u64,
-    /// `unavailable` responses (a quarantined channel refusing
-    /// `set_delay` while the health loop rebuilds its table).
-    pub unavailable: u64,
-    /// Responses answered as part of a multi-request batch.
-    pub batched: u64,
-    /// Transport-level failures (connection refused/reset mid-run).
-    pub transport_errors: u64,
+    /// Responses by kind. `parse_errors` and `bad_requests` must be 0:
+    /// the generator sends only well-formed, in-range lines.
+    pub tally: Tally,
     /// Wall clock of the whole run.
     pub wall: Duration,
     /// Completed responses per second.
@@ -98,20 +76,21 @@ impl LoadReport {
     /// One greppable summary line (the CI smoke job asserts on the
     /// `parse_error=` / `overloaded=` fields).
     pub fn summary(&self) -> String {
+        let t = &self.tally;
         format!(
             "serve-bench: requests={} ok={} parse_error={} bad_request={} overloaded={} \
              deadline_exceeded={} internal={} unavailable={} batched={} transport={} \
              throughput={:.0} req/s p50={} us p95={} us p99={} us workers={}",
-            self.requests,
-            self.ok,
-            self.parse_errors,
-            self.bad_requests,
-            self.overloaded,
-            self.deadline_exceeded,
-            self.internal_errors,
-            self.unavailable,
-            self.batched,
-            self.transport_errors,
+            t.attempts(),
+            t.ok,
+            t.parse_errors,
+            t.bad_requests,
+            t.overloaded,
+            t.deadline_exceeded,
+            t.internal_errors,
+            t.unavailable,
+            t.batched,
+            t.transport_errors,
             self.throughput_rps,
             self.p50_us,
             self.p95_us,
@@ -124,6 +103,7 @@ impl LoadReport {
     /// are the caller's (the repro binary stamps them like its runtime
     /// records).
     pub fn record(&self, git: &str, unix_ms: u64) -> Value {
+        let t = &self.tally;
         Value::obj()
             .with("schema", vardelay_obs::journal::SCHEMA_VERSION)
             .with("experiments", "serve-bench")
@@ -131,16 +111,16 @@ impl LoadReport {
             .with("git", git)
             .with("unix_ms", unix_ms)
             .with("wall_s", self.wall.as_secs_f64())
-            .with("requests", self.requests)
-            .with("ok", self.ok)
-            .with("parse_errors", self.parse_errors)
-            .with("bad_requests", self.bad_requests)
-            .with("overloaded", self.overloaded)
-            .with("deadline_exceeded", self.deadline_exceeded)
-            .with("internal_errors", self.internal_errors)
-            .with("unavailable", self.unavailable)
-            .with("batched", self.batched)
-            .with("transport_errors", self.transport_errors)
+            .with("requests", t.attempts())
+            .with("ok", t.ok)
+            .with("parse_errors", t.parse_errors)
+            .with("bad_requests", t.bad_requests)
+            .with("overloaded", t.overloaded)
+            .with("deadline_exceeded", t.deadline_exceeded)
+            .with("internal_errors", t.internal_errors)
+            .with("unavailable", t.unavailable)
+            .with("batched", t.batched)
+            .with("transport_errors", t.transport_errors)
             .with("throughput_rps", self.throughput_rps)
             .with("p50_us", self.p50_us)
             .with("p95_us", self.p95_us)
@@ -175,107 +155,56 @@ fn request_for(rng: &mut SplitMix64, client: usize, k: usize) -> Request {
     }
 }
 
+impl LoadConfig {
+    /// The driver plan: `clients` untagged open-loop clients on the
+    /// [`request_for`] mix.
+    pub fn plan(&self) -> LoadPlan {
+        let client = ClientSpec {
+            tenant: None,
+            requests: Some(self.requests_per_client),
+            pacing: Pacing::Open {
+                mean_gap: self.mean_gap,
+            },
+        };
+        LoadPlan {
+            clients: vec![client; self.clients],
+            mix: request_for,
+            seed: self.seed,
+        }
+    }
+}
+
+/// One authoritative `stats` call for the server-side shape (its
+/// worker count is the gates' comparability key).
+fn server_stats(addr: SocketAddr) -> Option<StatsReply> {
+    Client::connect(addr).and_then(|mut c| c.stats()).ok()
+}
+
 /// Runs the load against a server at `addr` and gathers the report.
-///
-/// Latency histograms require obs to be recording, so this forces
-/// [`vardelay_obs::set_enabled`]`(true)` for the duration — the load
-/// run *is* the measurement, there is nothing to opt out of.
 ///
 /// # Errors
 ///
 /// Returns an I/O error only when the initial connections fail;
 /// failures mid-run are counted as `transport_errors` instead.
 pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> std::io::Result<LoadReport> {
-    vardelay_obs::set_enabled(true);
-    let latency = Histogram::new();
-    let counts = ResponseCounts::default();
-
-    // Connect everything up front so a dead server is a clean error,
-    // not a pile of per-thread failures.
-    let mut clients: Vec<Client> = Vec::with_capacity(config.clients);
-    for _ in 0..config.clients {
-        clients.push(Client::connect(addr)?);
-    }
-
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for (client_index, mut client) in clients.drain(..).enumerate() {
-            let latency = &latency;
-            let counts = &counts;
-            let config = &config;
-            scope.spawn(move || {
-                let mut rng = SplitMix64::new(task_seed(config.seed, client_index as u64));
-                let mean_us = config.mean_gap.as_micros() as f64;
-                let mut scheduled_us = 0.0f64;
-                for k in 0..config.requests_per_client {
-                    // Exponential inter-arrival gap, fixed by seed: the
-                    // schedule does not react to server speed.
-                    scheduled_us += -mean_us * (1.0 - rng.next_f64()).ln();
-                    let scheduled = started + Duration::from_micros(scheduled_us as u64);
-                    if let Some(wait) = scheduled.checked_duration_since(Instant::now()) {
-                        std::thread::sleep(wait);
-                    }
-                    let envelope = Envelope {
-                        id: Some((client_index * 1_000_000 + k) as u64),
-                        deadline_ms: None,
-                        tenant: None,
-                        req_id: None,
-                        backend: None,
-                        request: request_for(&mut rng, client_index, k),
-                    };
-                    let sent = Instant::now();
-                    match client.call(&envelope) {
-                        Ok((_, response)) => {
-                            latency.record(sent.elapsed().as_micros() as u64);
-                            counts.count(&response);
-                        }
-                        Err(_) => {
-                            counts.transport.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let wall = started.elapsed();
-
-    // One authoritative stats call for the server's worker count (the
-    // gate's comparability key).
-    let workers = Client::connect(addr)
-        .and_then(|mut c| c.call(&Envelope::new(Request::Stats)))
-        .ok()
-        .and_then(|(_, response)| match response {
-            Response::Stats(stats) => Some(stats.workers),
-            _ => None,
-        })
-        .unwrap_or(0);
-
-    let requests = (config.clients * config.requests_per_client) as u64;
-    let completed = requests - counts.transport.load(Ordering::Relaxed);
+    let run = load::drive(addr, &config.plan(), &AtomicBool::new(false))?;
+    let t = run.tally;
     Ok(LoadReport {
-        requests,
-        ok: counts.ok.load(Ordering::Relaxed),
-        parse_errors: counts.parse_errors.load(Ordering::Relaxed),
-        bad_requests: counts.bad_requests.load(Ordering::Relaxed),
-        overloaded: counts.overloaded.load(Ordering::Relaxed),
-        unavailable: counts.unavailable.load(Ordering::Relaxed),
-        deadline_exceeded: counts.deadline_exceeded.load(Ordering::Relaxed),
-        internal_errors: counts.internal_errors.load(Ordering::Relaxed),
-        batched: counts.batched.load(Ordering::Relaxed),
-        transport_errors: counts.transport.load(Ordering::Relaxed),
-        wall,
-        throughput_rps: completed as f64 / wall.as_secs_f64().max(1e-9),
-        p50_us: latency.quantile(0.50),
-        p95_us: latency.quantile(0.95),
-        p99_us: latency.quantile(0.99),
-        workers,
+        tally: t,
+        wall: run.wall,
+        throughput_rps: (t.attempts() - t.transport_errors) as f64
+            / run.wall.as_secs_f64().max(1e-9),
+        p50_us: run.latency.quantile(0.50),
+        p95_us: run.latency.quantile(0.95),
+        p99_us: run.latency.quantile(0.99),
+        workers: server_stats(addr).map_or(0, |stats| stats.workers),
     })
 }
 
 /// How much harder a hot tenant pushes than its balanced peers: 10×
 /// the requests at one tenth the mean gap. Used by the CI
-/// starved-tenant injection (`VARDELAY_BENCH_HOT_TENANT`) to drive the
-/// fairness ratio far past the gate.
+/// starved-tenant injection (`repro serve-bench mt --hot-tenant N`) to
+/// drive the fairness ratio far past the gate.
 pub const HOT_TENANT_FACTOR: usize = 10;
 
 /// Multi-tenant load shape. [`Default`] is the seeded campaign CI runs:
@@ -315,23 +244,32 @@ impl Default for MtLoadConfig {
 }
 
 impl MtLoadConfig {
-    /// The default campaign, with the hot-tenant injection taken from
-    /// `VARDELAY_BENCH_HOT_TENANT` (a tenant index; out-of-range or
-    /// non-numeric values are ignored).
-    pub fn from_env() -> Self {
-        let mut config = MtLoadConfig::default();
-        config.hot_tenant = std::env::var("VARDELAY_BENCH_HOT_TENANT")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<usize>().ok())
-            .filter(|&t| t < config.tenants);
-        config
+    /// The driver plan: `clients_per_tenant` open-loop clients per
+    /// tenant, in tenant order, the hot tenant's scaled by
+    /// [`HOT_TENANT_FACTOR`].
+    pub fn plan(&self) -> LoadPlan {
+        let client = |tenant: usize| {
+            let factor = if self.hot_tenant == Some(tenant) {
+                HOT_TENANT_FACTOR
+            } else {
+                1
+            };
+            ClientSpec {
+                tenant: Some(tenant),
+                requests: Some(self.requests_per_client * factor),
+                pacing: Pacing::Open {
+                    mean_gap: self.mean_gap / factor as u32,
+                },
+            }
+        };
+        LoadPlan {
+            clients: (0..self.tenants)
+                .flat_map(|tenant| std::iter::repeat_n(client(tenant), self.clients_per_tenant))
+                .collect(),
+            mix: request_for,
+            seed: self.seed,
+        }
     }
-}
-
-/// The wire label for tenant `index` (`t00`, `t01`, …) — the same
-/// labels the sharding e2e tests use.
-pub fn tenant_label(index: usize) -> String {
-    format!("t{index:02}")
 }
 
 /// The sentinel fairness ratio reported when at least one tenant
@@ -347,16 +285,9 @@ pub struct MtLoadReport {
     pub tenants: usize,
     /// Total client connections.
     pub clients: u64,
-    /// Requests sent across all tenants.
-    pub requests: u64,
-    /// Successful responses.
-    pub ok: u64,
-    /// `overloaded` responses (queue overflow **and** quota sheds).
-    pub overloaded: u64,
-    /// Other error responses (parse/bad-request/deadline/internal).
-    pub other_errors: u64,
-    /// Transport-level failures mid-run.
-    pub transport_errors: u64,
+    /// Responses by kind across all tenants (`overloaded` counts queue
+    /// overflow **and** quota sheds).
+    pub tally: Tally,
     /// Completed (`ok`) responses per tenant, in tenant order.
     pub per_tenant_ok: Vec<u64>,
     /// Max/min of `per_tenant_ok` ([`STARVED_FAIRNESS`] when a tenant
@@ -393,11 +324,11 @@ impl MtLoadReport {
              throughput={:.0} req/s p50={} us p99={} us p999={} us workers={} shards={}{}",
             self.tenants,
             self.clients,
-            self.requests,
-            self.ok,
-            self.overloaded,
-            self.other_errors,
-            self.transport_errors,
+            self.tally.attempts(),
+            self.tally.ok,
+            self.tally.overloaded,
+            self.tally.other_errors(),
+            self.tally.transport_errors,
             self.quota_rejections,
             self.fairness_ratio,
             self.throughput_rps,
@@ -430,11 +361,11 @@ impl MtLoadReport {
             .with("wall_s", self.wall.as_secs_f64())
             .with("tenants", self.tenants as u64)
             .with("clients", self.clients)
-            .with("requests", self.requests)
-            .with("ok", self.ok)
-            .with("overloaded", self.overloaded)
-            .with("other_errors", self.other_errors)
-            .with("transport_errors", self.transport_errors)
+            .with("requests", self.tally.attempts())
+            .with("ok", self.tally.ok)
+            .with("overloaded", self.tally.overloaded)
+            .with("other_errors", self.tally.other_errors())
+            .with("transport_errors", self.tally.transport_errors)
             .with("quota_rejections", self.quota_rejections)
             .with("shards", self.shards)
             .with("fairness_ratio", self.fairness_ratio)
@@ -452,123 +383,32 @@ impl MtLoadReport {
 
 /// Runs the seeded multi-tenant campaign against a server at `addr`.
 ///
-/// Every client runs the same open-loop exponential schedule as
-/// [`run_load`], tagged with its tenant's label; the hot tenant (if
-/// injected) runs [`HOT_TENANT_FACTOR`]× requests at
-/// 1/[`HOT_TENANT_FACTOR`] the gap. Per-tenant completions feed the
-/// max/min fairness ratio; all latencies share one histogram for the
-/// campaign-wide p99.9.
+/// Per-tenant completions feed the max/min fairness ratio; all
+/// latencies share one histogram for the campaign-wide p99.9.
 ///
 /// # Errors
 ///
 /// Returns an I/O error only when the initial connections fail;
 /// failures mid-run are counted as `transport_errors` instead.
 pub fn run_mt_load(addr: SocketAddr, config: &MtLoadConfig) -> std::io::Result<MtLoadReport> {
-    vardelay_obs::set_enabled(true);
-    let latency = Histogram::new();
-    let counts = ResponseCounts::default();
-    let per_tenant_ok: Vec<AtomicU64> = (0..config.tenants).map(|_| AtomicU64::new(0)).collect();
-    let total_clients = config.tenants * config.clients_per_tenant;
-
-    let mut clients: Vec<Client> = Vec::with_capacity(total_clients);
-    for _ in 0..total_clients {
-        clients.push(Client::connect(addr)?);
-    }
-
-    let requests_for = |tenant: usize| {
-        if config.hot_tenant == Some(tenant) {
-            config.requests_per_client * HOT_TENANT_FACTOR
-        } else {
-            config.requests_per_client
-        }
-    };
-
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for (client_index, mut client) in clients.drain(..).enumerate() {
-            let latency = &latency;
-            let counts = &counts;
-            let config = &config;
-            let per_tenant_ok = &per_tenant_ok;
-            scope.spawn(move || {
-                let tenant = client_index / config.clients_per_tenant;
-                let label = tenant_label(tenant);
-                let hot = config.hot_tenant == Some(tenant);
-                let requests = requests_for(tenant);
-                let mut rng = SplitMix64::new(task_seed(config.seed, client_index as u64));
-                let mean_us = config.mean_gap.as_micros() as f64
-                    / if hot { HOT_TENANT_FACTOR as f64 } else { 1.0 };
-                let mut scheduled_us = 0.0f64;
-                for k in 0..requests {
-                    scheduled_us += -mean_us * (1.0 - rng.next_f64()).ln();
-                    let scheduled = started + Duration::from_micros(scheduled_us as u64);
-                    if let Some(wait) = scheduled.checked_duration_since(Instant::now()) {
-                        std::thread::sleep(wait);
-                    }
-                    let envelope = Envelope {
-                        id: Some((client_index * 1_000_000 + k) as u64),
-                        deadline_ms: None,
-                        tenant: Some(label.clone()),
-                        req_id: None,
-                        backend: None,
-                        request: request_for(&mut rng, client_index, k),
-                    };
-                    let sent = Instant::now();
-                    match client.call(&envelope) {
-                        Ok((_, response)) => {
-                            latency.record(sent.elapsed().as_micros() as u64);
-                            counts.count(&response);
-                            if response.error_kind().is_none() {
-                                per_tenant_ok[tenant].fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Err(_) => {
-                            counts.transport.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let wall = started.elapsed();
-
-    // One authoritative stats call for the server-side shape (worker
-    // count is the gate's comparability key).
-    let (workers, shards, quota_rejections) = Client::connect(addr)
-        .and_then(|mut c| c.call(&Envelope::new(Request::Stats)))
-        .ok()
-        .and_then(|(_, response)| match response {
-            Response::Stats(stats) => Some((stats.workers, stats.shards, stats.quota_rejections)),
-            _ => None,
-        })
-        .unwrap_or((0, 0, 0));
-
-    let per_tenant_ok: Vec<u64> = per_tenant_ok
-        .iter()
-        .map(|c| c.load(Ordering::Relaxed))
-        .collect();
-    let requests: u64 = (0..config.tenants)
-        .map(|t| (requests_for(t) * config.clients_per_tenant) as u64)
-        .sum();
-    let ok = counts.ok.load(Ordering::Relaxed);
-    let overloaded = counts.overloaded.load(Ordering::Relaxed);
-    let transport_errors = counts.transport.load(Ordering::Relaxed);
-    let completed = requests - transport_errors;
+    let plan = config.plan();
+    let run = load::drive(addr, &plan, &AtomicBool::new(false))?;
+    let (workers, shards, quota_rejections) =
+        server_stats(addr).map_or((0, 0, 0), |s| (s.workers, s.shards, s.quota_rejections));
+    let t = run.tally;
+    let mut per_tenant_ok = run.per_tenant_ok;
+    per_tenant_ok.resize(config.tenants, 0);
     Ok(MtLoadReport {
         tenants: config.tenants,
-        clients: total_clients as u64,
-        requests,
-        ok,
-        overloaded,
-        other_errors: completed - ok - overloaded,
-        transport_errors,
+        clients: plan.clients.len() as u64,
+        tally: t,
         fairness_ratio: fairness_ratio(&per_tenant_ok),
         per_tenant_ok,
-        wall,
-        throughput_rps: ok as f64 / wall.as_secs_f64().max(1e-9),
-        p50_us: latency.quantile(0.50),
-        p99_us: latency.quantile(0.99),
-        p999_us: latency.quantile(0.999),
+        wall: run.wall,
+        throughput_rps: t.ok as f64 / run.wall.as_secs_f64().max(1e-9),
+        p50_us: run.latency.quantile(0.50),
+        p99_us: run.latency.quantile(0.99),
+        p999_us: run.latency.quantile(0.999),
         workers,
         shards,
         quota_rejections,
@@ -593,56 +433,11 @@ fn fairness_ratio(per_tenant_ok: &[u64]) -> f64 {
     }
 }
 
-#[derive(Debug, Default)]
-struct ResponseCounts {
-    ok: AtomicU64,
-    parse_errors: AtomicU64,
-    bad_requests: AtomicU64,
-    overloaded: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    internal_errors: AtomicU64,
-    unavailable: AtomicU64,
-    batched: AtomicU64,
-    transport: AtomicU64,
-}
-
-impl ResponseCounts {
-    fn count(&self, response: &Response) {
-        match response.error_kind() {
-            None => {
-                self.ok.fetch_add(1, Ordering::Relaxed);
-                if let Response::Delay(reply) = response {
-                    if reply.batched > 1 {
-                        self.batched.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            Some(ErrorKind::ParseError) => {
-                self.parse_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(ErrorKind::BadRequest) => {
-                self.bad_requests.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(ErrorKind::Overloaded) => {
-                self.overloaded.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(ErrorKind::DeadlineExceeded) => {
-                self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(ErrorKind::Internal) => {
-                self.internal_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(ErrorKind::Unavailable) => {
-                self.unavailable.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vardelay_obs::journal;
+    use vardelay_runner::task_seed;
 
     #[test]
     fn the_mix_is_deterministic_and_mostly_set_delay() {
@@ -669,16 +464,11 @@ mod tests {
     #[test]
     fn the_record_round_trips_through_the_serve_gate() {
         let report = LoadReport {
-            requests: 600,
-            ok: 600,
-            parse_errors: 0,
-            bad_requests: 0,
-            overloaded: 0,
-            deadline_exceeded: 0,
-            internal_errors: 0,
-            unavailable: 0,
-            batched: 12,
-            transport_errors: 0,
+            tally: Tally {
+                ok: 600,
+                batched: 12,
+                ..Tally::default()
+            },
             wall: Duration::from_millis(400),
             throughput_rps: 1500.0,
             p50_us: 511,
@@ -711,11 +501,10 @@ mod tests {
         MtLoadReport {
             tenants: 16,
             clients: 32,
-            requests: 1280,
-            ok: 1280,
-            overloaded: 0,
-            other_errors: 0,
-            transport_errors: 0,
+            tally: Tally {
+                ok: 1280,
+                ..Tally::default()
+            },
             per_tenant_ok: vec![80; 16],
             fairness_ratio: fairness,
             wall: Duration::from_secs(2),

@@ -17,8 +17,14 @@
 //! load only — no drift, no chaos — and reports zero incidents and zero
 //! quarantines; the caller skips the journal append because a quiet run
 //! carries no healing measurement. With recalibration sabotaged
-//! (`VARDELAY_SERVE_RECAL=0`) every incident is detected but none ever
-//! heals, which is the deterministic red leg the CI gate check pulls.
+//! ([`SoakConfig::no_recal`], `repro soak --no-recal`) every incident
+//! is detected but none ever heals, which is the deterministic red leg
+//! the CI gate check pulls.
+//!
+//! The load is the closed-loop case of the [`load`](crate::load)
+//! driver: [`SoakConfig::load_clients`] untagged clients on the
+//! [`soak_mix`] over channels `0..DRIFT_CHANNEL`, until the incidents
+//! are done.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -27,10 +33,11 @@ use vardelay_faults::NetChaos;
 use vardelay_obs::json::Value;
 use vardelay_runner::task_seed;
 use vardelay_serve::{
-    serve, ChannelState, Client, Envelope, ErrorKind, Request, Response, ServeConfig, StatsReply,
+    serve, ChannelState, Client, Envelope, Request, Response, ServeConfig, ServerHandle,
 };
 use vardelay_siggen::SplitMix64;
 
+use crate::load::{self, ClientSpec, LoadPlan, Pacing, Tally};
 use crate::EXPERIMENT_SEED;
 
 /// The channel every drift incident targets. Load stays on the channels
@@ -40,8 +47,8 @@ pub const DRIFT_CHANNEL: usize = 7;
 
 /// Campaign shape. [`Default`] is what CI runs: four drift incidents of
 /// alternating severity against channel [`DRIFT_CHANNEL`], a 25 ms
-/// sentinel period, two load clients on the healthy channels, and a
-/// 30 s per-incident heal budget.
+/// sentinel period, two load clients on the healthy channels, a 30 s
+/// per-incident heal budget, and recalibration on.
 #[derive(Debug, Clone)]
 pub struct SoakConfig {
     /// Temperature offsets (kelvin, absolute from the base model) to
@@ -61,7 +68,16 @@ pub struct SoakConfig {
     pub load_gap: Duration,
     /// Root seed for the load mix and the chaos strike plan.
     pub seed: u64,
+    /// Whether the supervisor rebuilds drifted tables; off sabotages
+    /// self-healing (detection and quarantine still run).
+    pub recalibrate: bool,
 }
+
+/// The per-incident budget of a [`SoakConfig::no_recal`] run. A healthy
+/// run detects in ~0.2 s; with nothing able to heal, every incident
+/// runs out its budget, so the red leg uses a short one instead of
+/// waiting out 4 × 30 s.
+pub const NO_RECAL_BUDGET: Duration = Duration::from_secs(5);
 
 impl Default for SoakConfig {
     fn default() -> Self {
@@ -72,27 +88,46 @@ impl Default for SoakConfig {
             load_clients: 2,
             load_gap: Duration::from_millis(2),
             seed: EXPERIMENT_SEED,
+            recalibrate: true,
         }
     }
 }
 
 impl SoakConfig {
-    /// The default campaign with the per-incident budget taken from
-    /// `VARDELAY_SOAK_BUDGET_MS` when set. A healthy run detects in
-    /// ~0.2 s and heals in under 1 s, so the CI red leg — where every
-    /// incident runs its full budget because nothing ever heals —
-    /// shrinks the budget rather than waiting out 4 × 30 s.
-    pub fn from_env() -> Self {
-        let mut config = SoakConfig::default();
-        if let Some(ms) = std::env::var("VARDELAY_SOAK_BUDGET_MS")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-        {
-            config.incident_budget = Duration::from_millis(ms);
+    /// The default campaign with recalibration sabotaged and the
+    /// [`NO_RECAL_BUDGET`] per incident (`repro soak --no-recal`).
+    pub fn no_recal() -> Self {
+        SoakConfig {
+            recalibrate: false,
+            incident_budget: NO_RECAL_BUDGET,
+            ..SoakConfig::default()
         }
-        config
     }
+
+    /// The driver plan: [`SoakConfig::load_clients`] closed-loop clients
+    /// on [`soak_mix`], running until stopped.
+    pub fn plan(&self) -> LoadPlan {
+        let client = ClientSpec {
+            tenant: None,
+            requests: None,
+            pacing: Pacing::Closed {
+                pause: self.load_gap,
+            },
+        };
+        LoadPlan {
+            clients: vec![client; self.load_clients],
+            mix: soak_mix,
+            seed: self.seed,
+        }
+    }
+}
+
+/// The soak's load mix: `set_delay` on a healthy channel
+/// (`0..DRIFT_CHANNEL`) at a point of the 7.5 ps grid.
+pub fn soak_mix(rng: &mut SplitMix64, _client: usize, _k: usize) -> Request {
+    let channel = (rng.next_u64() % DRIFT_CHANNEL as u64) as usize;
+    let ps = 7.5 * (rng.next_u64() % 16) as f64;
+    Request::SetDelay { channel, ps }
 }
 
 /// What the soak measured.
@@ -112,15 +147,9 @@ pub struct SoakReport {
     pub mttr_p50_us: u64,
     /// 99th-percentile time to recover, microseconds.
     pub mttr_p99_us: u64,
-    /// Load requests attempted on the healthy channels.
-    pub attempts: u64,
-    /// Load requests answered with a delay setting.
-    pub ok: u64,
-    /// Load requests shed with `overloaded` (backpressure, not an
-    /// outage — excluded from the availability denominator).
-    pub overloaded: u64,
-    /// Load requests that failed hard (unavailable/internal/transport).
-    pub failures: u64,
+    /// Load responses on the healthy channels, by kind. `overloaded`
+    /// is backpressure, not an outage, so availability leaves it out.
+    pub tally: Tally,
     /// `ok / (ok + failures)` — healthy-channel availability (1.0 when
     /// no load completed at all).
     pub availability: f64,
@@ -157,10 +186,10 @@ impl SoakReport {
             self.mttr_p50_us,
             self.mttr_p99_us,
             self.availability,
-            self.attempts,
-            self.ok,
-            self.overloaded,
-            self.failures,
+            self.tally.attempts(),
+            self.tally.ok,
+            self.tally.overloaded,
+            self.tally.failures(),
             self.strikes,
             self.quarantines,
             self.recalibrations,
@@ -188,10 +217,10 @@ impl SoakReport {
             .with("mttr_p50_us", self.mttr_p50_us as f64)
             .with("mttr_p99_us", self.mttr_p99_us as f64)
             .with("availability", self.availability)
-            .with("attempts", self.attempts)
-            .with("ok", self.ok)
-            .with("overloaded", self.overloaded)
-            .with("failures", self.failures)
+            .with("attempts", self.tally.attempts())
+            .with("ok", self.tally.ok)
+            .with("overloaded", self.tally.overloaded)
+            .with("failures", self.tally.failures())
             .with("strikes", self.strikes)
             .with("quarantines", self.quarantines)
             .with("recalibrations", self.recalibrations)
@@ -211,55 +240,90 @@ fn quantile_us(samples: &mut [u64], q: f64) -> u64 {
     samples[rank]
 }
 
-/// Hard load failures: responses that mean the service broke for a
-/// healthy channel. `overloaded` is deliberate shedding and is tallied
-/// separately.
-fn is_hard_failure(kind: ErrorKind) -> bool {
-    !matches!(kind, ErrorKind::Overloaded)
-}
-
+/// What the incident driver measured.
 #[derive(Default)]
-struct LoadCounts {
-    attempts: AtomicU64,
-    ok: AtomicU64,
-    overloaded: AtomicU64,
-    failures: AtomicU64,
+struct Incidents {
+    injected: u64,
+    unhealed: u64,
+    detect_us: Vec<u64>,
+    mttr_us: Vec<u64>,
 }
 
-/// One wire `stats` round-trip, retrying through `overloaded` sheds
-/// (the chaos striker can legitimately flood a queue for a moment).
-fn probe_stats(client: &mut Client, id: u64) -> std::io::Result<StatsReply> {
-    loop {
-        let (_, response) = client.call(&Envelope {
-            id: Some(id),
-            deadline_ms: None,
-            tenant: None,
-            req_id: None,
-            backend: None,
-            request: Request::Stats,
-        })?;
-        match response {
-            Response::Stats(stats) => return Ok(stats),
-            Response::Error(err) if err.kind == ErrorKind::Overloaded => {
-                std::thread::sleep(Duration::from_millis(5));
+/// The incident driver: inject, time detection, time recovery. Warms
+/// the drifted channel first so incident 1 measures healing, not
+/// first-touch calibration.
+fn run_incidents(
+    config: &SoakConfig,
+    handle: &ServerHandle,
+    probe: &mut Client,
+) -> std::io::Result<Incidents> {
+    let mut out = Incidents::default();
+    let (_, warm) = probe.call(&Envelope::new(Request::SetDelay {
+        channel: DRIFT_CHANNEL,
+        ps: 60.0,
+    }))?;
+    if !matches!(warm, Response::Delay(_)) {
+        return Err(std::io::Error::other(format!(
+            "drift channel refused before any incident: {warm:?}"
+        )));
+    }
+
+    for &delta_k in &config.incidents {
+        if !handle.inject_drift("", DRIFT_CHANNEL, delta_k) {
+            // Masked (VARDELAY_FAULTS=0): let the load soak for a
+            // moment anyway so the quiet run's availability is a
+            // measurement, not two warm-up requests.
+            std::thread::sleep(Duration::from_millis(500));
+            break;
+        }
+        out.injected += 1;
+        let t0 = Instant::now();
+        let budget = t0 + config.incident_budget;
+
+        // Detection: the sentinel marks the channel unhealthy.
+        let mut detected = false;
+        while Instant::now() < budget {
+            if probe.stats()?.unhealthy >= 1 {
+                detected = true;
+                out.detect_us.push(t0.elapsed().as_micros() as u64);
+                break;
             }
-            other => return Err(std::io::Error::other(format!("stats probe drew {other:?}"))),
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        if !detected {
+            out.unhealed += 1;
+            continue;
+        }
+
+        // Healing: recalibrated, re-admitted, nothing unhealthy left.
+        let mut healed = false;
+        while Instant::now() < budget {
+            if probe.stats()?.unhealthy == 0
+                && handle.channel_state("", DRIFT_CHANNEL) == ChannelState::Healthy
+            {
+                healed = true;
+                out.mttr_us.push(t0.elapsed().as_micros() as u64);
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        if !healed {
+            out.unhealed += 1;
         }
     }
+    Ok(out)
 }
 
 /// Runs the campaign and gathers the report.
 ///
 /// Uses its own in-process server (workers=2, one shard, the
-/// configured sentinel period); `VARDELAY_SERVE_RECAL=0` in the
-/// environment sabotages recalibration exactly as it would for
-/// `repro serve`.
+/// configured sentinel period and [`SoakConfig::recalibrate`]).
 ///
 /// # Errors
 ///
-/// Returns an I/O error when the server cannot bind or the probe
-/// client's connection dies; load-client failures mid-run are counted
-/// in the report instead.
+/// Returns an I/O error when the server cannot bind, a load client
+/// cannot connect, or the probe client's connection dies; load-client
+/// failures mid-run are counted in the report instead.
 pub fn run_soak(config: &SoakConfig) -> std::io::Result<SoakReport> {
     vardelay_obs::set_enabled(true);
     let faults_enabled = vardelay_faults::enabled();
@@ -268,74 +332,22 @@ pub fn run_soak(config: &SoakConfig) -> std::io::Result<SoakReport> {
     serve_config.workers = 2;
     serve_config.shards = 1;
     serve_config.health_period = Some(config.health_period);
-    serve_config.recalibrate = !matches!(
-        std::env::var("VARDELAY_SERVE_RECAL").as_deref(),
-        Ok("0") | Ok("off") | Ok("false")
-    );
+    serve_config.recalibrate = config.recalibrate;
     let handle = serve(serve_config)?;
     let addr = handle.addr();
     let mut probe = Client::connect(addr)?;
 
     let stop = AtomicBool::new(false);
-    let counts = LoadCounts::default();
     let strikes = AtomicU64::new(0);
+    let plan = config.plan();
     let started = Instant::now();
-    let mut detect_us: Vec<u64> = Vec::new();
-    let mut mttr_us: Vec<u64> = Vec::new();
-    let mut unhealed = 0u64;
-    let mut injected = 0u64;
-
-    let incident_result = std::thread::scope(|scope| -> std::io::Result<()> {
-        // Seeded closed-loop load on the healthy channels 0..DRIFT_CHANNEL.
-        for client_index in 0..config.load_clients {
-            let counts = &counts;
-            let stop = &stop;
-            let mut client = Client::connect(addr)?;
-            let seed = task_seed(config.seed, client_index as u64);
-            let gap = config.load_gap;
-            scope.spawn(move || {
-                let mut rng = SplitMix64::new(seed);
-                let mut id = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    id += 1;
-                    let channel = (rng.next_u64() % DRIFT_CHANNEL as u64) as usize;
-                    let ps = 7.5 * (rng.next_u64() % 16) as f64;
-                    counts.attempts.fetch_add(1, Ordering::Relaxed);
-                    match client.call(&Envelope {
-                        id: Some(id),
-                        deadline_ms: None,
-                        tenant: None,
-                        req_id: None,
-                        backend: None,
-                        request: Request::SetDelay { channel, ps },
-                    }) {
-                        Ok((_, Response::Delay(_))) => {
-                            counts.ok.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok((_, Response::Error(err))) if !is_hard_failure(err.kind) => {
-                            counts.overloaded.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(_) => {
-                            counts.failures.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            // A dead socket fails this request and every
-                            // later one unless we reconnect.
-                            counts.failures.fetch_add(1, Ordering::Relaxed);
-                            if let Ok(fresh) = Client::connect(addr) {
-                                client = fresh;
-                            }
-                        }
-                    }
-                    std::thread::sleep(gap);
-                }
-            });
-        }
+    let (load, incidents) = std::thread::scope(|scope| {
+        // Seeded closed-loop load on the healthy channels.
+        let load = scope.spawn(|| load::drive(addr, &plan, &stop));
 
         // The misbehaving-client striker (masked along with drift).
         if faults_enabled {
-            let stop = &stop;
-            let strikes = &strikes;
+            let (stop, strikes) = (&stop, &strikes);
             let chaos = NetChaos::new(task_seed(config.seed, 0xc4a05));
             scope.spawn(move || {
                 let mut n = 0u64;
@@ -348,102 +360,32 @@ pub fn run_soak(config: &SoakConfig) -> std::io::Result<SoakReport> {
             });
         }
 
-        // The incident driver: inject, time detection, time recovery.
-        // Warm the drifted channel first so incident 1 measures healing,
-        // not first-touch calibration.
-        let (_, warm) = probe.call(&Envelope {
-            id: Some(1),
-            deadline_ms: None,
-            tenant: None,
-            req_id: None,
-            backend: None,
-            request: Request::SetDelay {
-                channel: DRIFT_CHANNEL,
-                ps: 60.0,
-            },
-        })?;
-        if !matches!(warm, Response::Delay(_)) {
-            stop.store(true, Ordering::Relaxed);
-            return Err(std::io::Error::other(format!(
-                "drift channel refused before any incident: {warm:?}"
-            )));
-        }
-
-        let mut id = 100u64;
-        for &delta_k in &config.incidents {
-            if !handle.inject_drift("", DRIFT_CHANNEL, delta_k) {
-                // Masked (VARDELAY_FAULTS=0): let the load soak for a
-                // moment anyway so the quiet run's availability is a
-                // measurement, not two warm-up requests.
-                std::thread::sleep(Duration::from_millis(500));
-                break;
-            }
-            injected += 1;
-            let t0 = Instant::now();
-            let budget = t0 + config.incident_budget;
-
-            // Detection: the sentinel marks the channel unhealthy.
-            let mut detected = false;
-            while Instant::now() < budget {
-                id += 1;
-                if probe_stats(&mut probe, id)?.unhealthy >= 1 {
-                    detected = true;
-                    detect_us.push(t0.elapsed().as_micros() as u64);
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            if !detected {
-                unhealed += 1;
-                continue;
-            }
-
-            // Healing: recalibrated, re-admitted, nothing unhealthy left.
-            let mut healed = false;
-            while Instant::now() < budget {
-                id += 1;
-                let stats = probe_stats(&mut probe, id)?;
-                if stats.unhealthy == 0
-                    && handle.channel_state("", DRIFT_CHANNEL) == ChannelState::Healthy
-                {
-                    healed = true;
-                    mttr_us.push(t0.elapsed().as_micros() as u64);
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            if !healed {
-                unhealed += 1;
-            }
-        }
+        // Stop the load and the striker however the incidents end, so
+        // a failed probe cannot leave the scope waiting on them.
+        let incidents = run_incidents(config, &handle, &mut probe);
         stop.store(true, Ordering::Relaxed);
-        Ok(())
+        (load.join().expect("soak load thread panicked"), incidents)
     });
-    stop.store(true, Ordering::Relaxed);
-    incident_result?;
+    let tally = load?.tally;
+    let mut incidents = incidents?;
 
     handle.shutdown();
     let drained = handle.join();
 
-    let ok = counts.ok.load(Ordering::Relaxed);
-    let failures = counts.failures.load(Ordering::Relaxed);
-    let completed = ok + failures;
+    let completed = tally.ok + tally.failures();
     Ok(SoakReport {
         faults_enabled,
-        incidents: injected,
-        unhealed,
-        detect_p50_us: quantile_us(&mut detect_us, 0.50),
-        detect_p99_us: quantile_us(&mut detect_us, 0.99),
-        mttr_p50_us: quantile_us(&mut mttr_us, 0.50),
-        mttr_p99_us: quantile_us(&mut mttr_us, 0.99),
-        attempts: counts.attempts.load(Ordering::Relaxed),
-        ok,
-        overloaded: counts.overloaded.load(Ordering::Relaxed),
-        failures,
+        incidents: incidents.injected,
+        unhealed: incidents.unhealed,
+        detect_p50_us: quantile_us(&mut incidents.detect_us, 0.50),
+        detect_p99_us: quantile_us(&mut incidents.detect_us, 0.99),
+        mttr_p50_us: quantile_us(&mut incidents.mttr_us, 0.50),
+        mttr_p99_us: quantile_us(&mut incidents.mttr_us, 0.99),
+        tally,
         availability: if completed == 0 {
             1.0
         } else {
-            ok as f64 / completed as f64
+            tally.ok as f64 / completed as f64
         },
         strikes: strikes.load(Ordering::Relaxed),
         quarantines: drained.stats.quarantines,
@@ -469,10 +411,11 @@ mod tests {
             detect_p99_us: 60_000,
             mttr_p50_us: mttr_p99_us / 2,
             mttr_p99_us,
-            attempts: 4_000,
-            ok: 3_990,
-            overloaded: 10,
-            failures: 0,
+            tally: Tally {
+                ok: 3_990,
+                overloaded: 10,
+                ..Tally::default()
+            },
             availability,
             strikes: 12,
             quarantines: 3,

@@ -231,7 +231,7 @@ fn gate_record(target: &str, red: bool) -> Value {
             .with("wall_s", 6.5)
             .with("csv_points", 172u64)
             .with("solve_p99_us", 4000.0)
-            .with("allocs_per_request", pick(9.5, 10.6)),
+            .with("pool_allocs", pick(9.5, 10.6)),
         "soak" => base("soak", 2)
             .with("incidents", 4u64)
             .with("unhealed", pick(0.0, 1.0))
@@ -301,4 +301,62 @@ fn an_unknown_compare_target_lists_every_target() {
     for gate in journal::GATES {
         assert!(stderr.contains(&format!("{:?}", gate.target)), "{stderr}");
     }
+}
+
+/// Every subcommand rejects an unknown or extra argument with exit 2
+/// and the usage, before doing any work: a mistyped lever such as
+/// `--no-recall` must never run a green campaign.
+#[test]
+fn unknown_and_extra_arguments_exit_2_with_usage() {
+    let scratch = Scratch::new("argv");
+    let cases: &[&[&str]] = &[
+        &["soak", "--bogus"],
+        &["soak", "--no-recall"],
+        &["soak", "--no-recal", "--no-recal"],
+        &["serve-bench", "mt", "junk"],
+        &["serve-bench", "--hot-tenant", "0"],
+        &["serve-bench", "mt", "--hot-tenant"],
+        &["serve-bench", "mt", "--hot-tenant", "16"],
+        &["serve-bench", "mt", "--hot-tenant", "x"],
+        &["serve-bench", "mt", "--hot-tenant", "0", "extra"],
+        &["restart", "x"],
+        &["backends", "x"],
+        &["serve", "x"],
+        &["compare", "all", "extra"],
+        &["fig9", "extra"],
+        &["--bogus"],
+    ];
+    for args in cases {
+        let out = scratch.repro_env(args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: repro"), "{args:?}: {stderr}");
+    }
+    assert!(
+        !scratch.journal_path().exists(),
+        "a rejected command appends nothing"
+    );
+    let out = scratch.repro_env(&["serve-bench", "mt", "--hot-tenant", "16"], &[]);
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("0..16"),
+        "the range is named"
+    );
+}
+
+/// An instrumented record carries the run's raw buffer-pool allocation
+/// total as `pool_allocs` — a count, not a per-request ratio.
+#[test]
+fn an_instrumented_record_carries_the_raw_pool_allocation_count() {
+    let scratch = Scratch::new("pool_allocs");
+    let out = scratch.repro_env(&["table1"], &[("VARDELAY_OBS", "1")]);
+    assert!(out.status.success());
+    let records = journal::load(&scratch.journal_path()).unwrap();
+    let record = records.last().expect("one record");
+    assert!(record.get("solve_p99_us").is_some(), "table1 solves");
+    let allocs = record.get("pool_allocs").and_then(Value::as_f64);
+    assert!(
+        allocs.is_some_and(|a| a >= 0.0 && a.fract() == 0.0),
+        "{allocs:?}"
+    );
+    assert!(record.get("allocs_per_request").is_none());
 }

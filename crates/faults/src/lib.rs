@@ -132,22 +132,6 @@ impl RequestChaos {
         RequestChaos { seed, one_in }
     }
 
-    /// Reads `VARDELAY_SERVE_CHAOS`. Accepted forms: `<one_in>` or
-    /// `<one_in>:<seed>` (seed defaults to 0). Unset, empty, or
-    /// unparsable values disable chaos entirely.
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("VARDELAY_SERVE_CHAOS").ok()?;
-        let raw = raw.trim();
-        let (one_in, seed) = match raw.split_once(':') {
-            Some((n, s)) => (n.trim().parse().ok()?, s.trim().parse().ok()?),
-            None => (raw.parse().ok()?, 0u64),
-        };
-        if one_in == 0 {
-            return None;
-        }
-        Some(RequestChaos::new(seed, one_in))
-    }
-
     /// Whether the request with this admission index is doomed.
     pub fn kills(&self, request_index: u64) -> bool {
         enabled()

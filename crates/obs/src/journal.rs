@@ -489,9 +489,9 @@ pub const GATES: &[Gate] = {
         // The calibration hot path, on instrumented `all` records only
         // (pre-fast-path and `VARDELAY_OBS=0` records lack the fields).
         Gate { target: "hotpath", kind: "all", run: "all", pairing: LatestTwo,
-            requires: &["solve_p99_us", "allocs_per_request"], checks: &[
+            requires: &["solve_p99_us", "pool_allocs"], checks: &[
                 num("solve_p99_us", Growth(SOLVE_THRESHOLD)),
-                num("allocs_per_request", Growth(DEFAULT_THRESHOLD)),
+                num("pool_allocs", Growth(DEFAULT_THRESHOLD)),
             ] },
         // Chaos soak: MTTR growth, the newest run's availability, and every
         // incident healed.
@@ -978,7 +978,7 @@ mod tests {
         record("all", threads, 6.0)
             .with("csv_points", 172u64)
             .with("solve_p99_us", solve_p99_us)
-            .with("allocs_per_request", allocs)
+            .with("pool_allocs", allocs)
     }
 
     #[test]
@@ -998,7 +998,7 @@ mod tests {
             hotpath_record(4, 17000.0, 9.5),
         ];
         assert!(run("hotpath", &records).unwrap().regressed);
-        // Allocations per request are deterministic, so their gate is
+        // Pool allocations are a count, not a timing, so their gate is
         // the tight default: +11 % fails even with a flat p99.
         let records = vec![
             hotpath_record(4, 4000.0, 9.5),
@@ -1016,7 +1016,7 @@ mod tests {
         let zero = record("all", 4, 0.1)
             .with("csv_points", 0u64)
             .with("solve_p99_us", 4000.0)
-            .with("allocs_per_request", 9.5);
+            .with("pool_allocs", 9.5);
         let resumed = hotpath_record(4, 900.0, 2.0).with("resumed", true);
         let records = vec![
             legacy.clone(),

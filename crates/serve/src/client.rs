@@ -7,7 +7,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::protocol::{Envelope, Response};
+use crate::protocol::{Envelope, ErrorKind, Request, Response, StatsReply};
 
 /// A connected client. Requests are strictly request/response on one
 /// connection; open more clients for concurrency.
@@ -31,6 +31,21 @@ impl Client {
     pub fn call(&mut self, envelope: &Envelope) -> std::io::Result<(Option<u64>, Response)> {
         let line = envelope.to_value().render();
         self.send_raw(&line)
+    }
+
+    /// One `stats` round-trip, retrying through `overloaded` sheds (a
+    /// flooded queue can refuse it for a moment); any other answer is
+    /// an error.
+    pub fn stats(&mut self) -> std::io::Result<StatsReply> {
+        loop {
+            match self.call(&Envelope::new(Request::Stats))?.1 {
+                Response::Stats(stats) => return Ok(stats),
+                Response::Error(err) if err.kind == ErrorKind::Overloaded => {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                other => return Err(std::io::Error::other(format!("stats drew {other:?}"))),
+            }
+        }
     }
 
     /// Sends an arbitrary line (junk welcome — the protocol tests use

@@ -140,7 +140,8 @@ pub struct ServeConfig {
     /// Default per-request budget when the envelope has no
     /// `deadline_ms`.
     pub default_deadline: Duration,
-    /// Seeded worker-kill chaos (`VARDELAY_SERVE_CHAOS`).
+    /// Seeded worker-kill chaos; set by tests, never from the
+    /// environment.
     pub chaos: Option<RequestChaos>,
     /// Health-supervisor period (`VARDELAY_SERVE_HEALTH_MS`; 0 or
     /// `None` disables the supervisor — the in-process default, so
@@ -150,9 +151,9 @@ pub struct ServeConfig {
     /// bounds response writes and how long a partial request line may
     /// sit before the reaper cuts the connection.
     pub io_timeout: Duration,
-    /// Whether the supervisor rebuilds stale tables
-    /// (`VARDELAY_SERVE_RECAL`; disable to sabotage self-healing — the
-    /// soak gate's red lever).
+    /// Whether the supervisor rebuilds stale tables; `repro soak
+    /// --no-recal` disables it to sabotage self-healing — the soak
+    /// gate's red lever.
     pub recalibrate: bool,
     /// Durable state directory (`VARDELAY_SERVE_STATE_DIR`). `None`
     /// disables the snapshot store, the WAL, and warm restart — the
@@ -170,37 +171,30 @@ pub struct ServeConfig {
     pub backend: BackendKind,
 }
 
+/// `key` from the environment, trimmed and parsed; `None` when unset
+/// or unparsable.
+fn env<T: std::str::FromStr>(key: &str) -> Option<T> {
+    std::env::var(key).ok()?.trim().parse().ok()
+}
+
 fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|raw| raw.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
+    env(key).filter(|&n| n > 0).unwrap_or(default)
 }
 
 fn env_f64(key: &str) -> Option<f64> {
-    std::env::var(key)
-        .ok()
-        .and_then(|raw| raw.trim().parse::<f64>().ok())
-        .filter(|&v| v.is_finite() && v > 0.0)
+    env(key).filter(|&v: &f64| v.is_finite() && v > 0.0)
 }
 
 impl ServeConfig {
     /// The standalone configuration: every knob from the environment,
     /// defaults matching the README table.
     pub fn from_env() -> ServeConfig {
-        let addr = std::env::var("VARDELAY_SERVE_ADDR")
-            .ok()
-            .filter(|a| !a.trim().is_empty())
-            .unwrap_or_else(|| "127.0.0.1:4848".to_owned());
-        let batch_us = std::env::var("VARDELAY_SERVE_BATCH_US")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<u64>().ok())
-            .unwrap_or(100);
         ServeConfig {
-            addr,
+            addr: env("VARDELAY_SERVE_ADDR")
+                .filter(|a: &String| !a.is_empty())
+                .unwrap_or_else(|| "127.0.0.1:4848".to_owned()),
             queue_depth: env_usize("VARDELAY_SERVE_QUEUE", 64),
-            batch_window: Duration::from_micros(batch_us),
+            batch_window: Duration::from_micros(env("VARDELAY_SERVE_BATCH_US").unwrap_or(100)),
             workers: worker_threads_from_env(),
             shards: env_usize("VARDELAY_SERVE_SHARDS", 4),
             channels: 8,
@@ -208,31 +202,17 @@ impl ServeConfig {
             quota_rps: env_f64("VARDELAY_SERVE_QUOTA_RPS"),
             quota_burst: env_f64("VARDELAY_SERVE_QUOTA_BURST"),
             default_deadline: Duration::from_secs(2),
-            chaos: RequestChaos::from_env(),
-            health_period: {
-                let ms = std::env::var("VARDELAY_SERVE_HEALTH_MS")
-                    .ok()
-                    .and_then(|raw| raw.trim().parse::<u64>().ok())
-                    .unwrap_or(1000);
-                (ms > 0).then(|| Duration::from_millis(ms))
-            },
+            chaos: None,
+            health_period: Some(env("VARDELAY_SERVE_HEALTH_MS").unwrap_or(1000))
+                .filter(|&ms| ms > 0)
+                .map(Duration::from_millis),
             io_timeout: Duration::from_millis(
                 env_usize("VARDELAY_SERVE_IO_TIMEOUT_MS", 10_000) as u64
             ),
-            recalibrate: !matches!(
-                std::env::var("VARDELAY_SERVE_RECAL").as_deref(),
-                Ok("0") | Ok("off") | Ok("false")
-            ),
-            state_dir: std::env::var("VARDELAY_SERVE_STATE_DIR")
-                .ok()
-                .map(|raw| raw.trim().to_owned())
-                .filter(|raw| !raw.is_empty())
-                .map(PathBuf::from),
-            wal_compact: std::env::var("VARDELAY_SERVE_WAL_COMPACT")
-                .ok()
-                .and_then(|raw| raw.trim().parse::<u64>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(512),
+            recalibrate: true,
+            state_dir: env("VARDELAY_SERVE_STATE_DIR")
+                .filter(|dir: &PathBuf| !dir.as_os_str().is_empty()),
+            wal_compact: env_usize("VARDELAY_SERVE_WAL_COMPACT", 512) as u64,
             backend: {
                 // An unknown name falls back to the circuit reference
                 // loudly: silently serving the wrong hardware family
@@ -1407,7 +1387,7 @@ fn supervise(shared: &Arc<Shared>, job: &Job, f: impl FnOnce(&Job) -> Response) 
     let result = catch_unwind(AssertUnwindSafe(|| {
         if doomed {
             panic!(
-                "chaos: request {} doomed by VARDELAY_SERVE_CHAOS",
+                "chaos: request {} doomed by the request-chaos plan",
                 job.index
             );
         }

@@ -219,7 +219,7 @@ fn gross_drift_quarantines_then_recovers_end_to_end() {
     assert_eq!(report.stats.quarantined, 0, "nothing left in quarantine");
 }
 
-/// With recalibration sabotaged (`VARDELAY_SERVE_RECAL=0` in the soak
+/// With recalibration sabotaged (`repro soak --no-recal` in the soak
 /// gate; the config knob here), a grossly drifted channel is detected
 /// and quarantined but can never heal: it keeps refusing for as long as
 /// anyone cares to wait, while healthy channels serve on. This is the
